@@ -9,30 +9,17 @@ face-ring depth oracle.
 """
 
 import argparse
-import itertools
 import sys
 import time
 
 from acmlines import (
     CriteriaDisagreement,
-    compact,
+    all_varieties,
     is_acm,
-    make_variety,
     reisner_cm,
     stanley_reisner_complex,
     variety_to_dict,
 )
-
-
-def enumerate_varieties():
-    cells = [(i, j) for i in (1, 2) for j in (1, 2)]
-    tagged = [(3, c) for c in cells] + [(2, c) for c in cells] + [(1, c) for c in cells]
-    for bits in range(1, 1 << len(tagged)):
-        chosen = [t for n, t in enumerate(tagged) if bits >> n & 1]
-        u3 = {c for f, c in chosen if f == 3}
-        u2 = {c for f, c in chosen if f == 2}
-        u1 = {c for f, c in chosen if f == 1}
-        yield compact(make_variety((2, 2, 2), u3=u3, u2=u2, u1=u1))
 
 
 def main(argv=None):
@@ -43,7 +30,7 @@ def main(argv=None):
 
     started = time.monotonic()
     total = acm = disagreements = oracle_splits = 0
-    for X in enumerate_varieties():
+    for X in all_varieties():
         total += 1
         try:
             verdict = is_acm(X)

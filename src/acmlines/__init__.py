@@ -14,6 +14,7 @@ from .criteria import (
 from .errors import (
     AcmLinesError,
     BadN,
+    BadParameter,
     BadPermutation,
     BoxTooSmallWarning,
     CriteriaDisagreement,
@@ -40,6 +41,7 @@ from .ferrers import (
     detect_complete_intersection,
     ferrers_companion,
     grid_resolution,
+    hilbert_difference,
     hilbert_function,
     is_ferrers_variety,
     is_literal_ferrers,
@@ -68,7 +70,7 @@ from .oracles import (
     stanley_reisner_complex,
 )
 from .sampling import (
-    random_acm_variety,
+    all_varieties,
     random_ferrers_variety,
     random_partition,
     random_variety,
@@ -81,6 +83,7 @@ from .variety import (
     direction_slice,
     grid_from_points,
     make_variety,
+    permute_families,
     points_from_json,
     relabel,
     remove_hyperplane,

@@ -31,6 +31,7 @@ from .experiment import run_hf_experiment
 from .ferrers import (
     delta_hilbert,
     detect_complete_intersection,
+    hilbert_difference,
     hilbert_function,
     is_ferrers_variety,
     is_literal_ferrers,
@@ -38,7 +39,7 @@ from .ferrers import (
     resembles_ferrers,
 )
 from .graphs import build_graph, complement, graph_to_dot
-from .oracles import hilbert_oracle, reisner_cm, stanley_reisner_complex
+from .oracles import _boxrange, hilbert_oracle, reisner_cm, stanley_reisner_complex
 from .variety import (
     grid_from_points,
     points_from_json,
@@ -101,30 +102,6 @@ def cmd_ferrers(args) -> int:
     return 0
 
 
-def _delta_from_h(H, box):
-    bi, bj, bk = box
-
-    def h(i, j, k):
-        if i < 0 or j < 0 or k < 0:
-            return 0
-        return H[i][j][k]
-
-    delta = [
-        [[0] * (bk + 1) for _ in range(bj + 1)] for _ in range(bi + 1)
-    ]
-    for i in range(bi + 1):
-        for j in range(bj + 1):
-            for k in range(bk + 1):
-                delta[i][j][k] = (
-                    h(i, j, k)
-                    - h(i - 1, j, k) - h(i, j - 1, k) - h(i, j, k - 1)
-                    + h(i - 1, j - 1, k) + h(i - 1, j, k - 1)
-                    + h(i, j - 1, k - 1)
-                    - h(i - 1, j - 1, k - 1)
-                )
-    return delta
-
-
 def cmd_hilbert(args) -> int:
     X = _load_variety(args.variety)
     box = tuple(args.box)
@@ -133,15 +110,13 @@ def cmd_hilbert(args) -> int:
         delta = delta_hilbert(X, box)
     else:
         H = hilbert_oracle(X, box)
-        delta = _delta_from_h(H, box)
+        delta = hilbert_difference(H)
     if args.format == "json":
         print(json.dumps({"box": list(box), "deltaH": delta, "H": H}, sort_keys=True))
         return 0
     print("i,j,k,deltaH,H")
-    for i in range(box[0] + 1):
-        for j in range(box[1] + 1):
-            for k in range(box[2] + 1):
-                print(f"{i},{j},{k},{delta[i][j][k]},{H[i][j][k]}")
+    for i, j, k in _boxrange(box):
+        print(f"{i},{j},{k},{delta[i][j][k]},{H[i][j][k]}")
     return 0
 
 
@@ -170,19 +145,11 @@ def cmd_grid(args) -> int:
 def cmd_ci(args) -> int:
     X = _load_variety(args.variety)
     ci = detect_complete_intersection(X)
-    if ci is None:
-        print(json.dumps({"complete_intersection": False}, sort_keys=True))
-    else:
-        print(
-            json.dumps(
-                {
-                    "complete_intersection": True,
-                    "degrees": [list(d) for d in ci.degrees],
-                    "products": list(ci.products),
-                },
-                sort_keys=True,
-            )
-        )
+    payload = {"complete_intersection": ci is not None}
+    if ci is not None:
+        payload["degrees"] = [list(d) for d in ci.degrees]
+        payload["products"] = list(ci.products)
+    print(json.dumps(payload, sort_keys=True))
     return 0
 
 

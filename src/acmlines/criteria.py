@@ -15,7 +15,13 @@ from itertools import permutations, product
 
 from .errors import BadN, CriteriaDisagreement
 from .graphs import build_graph, complement, is_chordal, is_induced_cycle
-from .variety import FAMILY_NAMES, HyperplaneId, VarietyOfLines
+from .variety import (
+    DIRECTION_FAMILIES,
+    FAMILY_NAMES,
+    HyperplaneId,
+    VarietyOfLines,
+    family_permutation,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -40,34 +46,36 @@ class MultiplicityTensor:
         )
 
     def slice_matrix(self, direction: int) -> tuple[tuple[int, ...], ...]:
-        return {3: self.m3, 2: self.m2, 1: self.m1}[direction]
+        return (self.m1, self.m2, self.m3)[direction - 1]
 
-    def tensor(self) -> tuple:
-        d1, d2, d3 = self.d
-        return tuple(
-            tuple(
-                tuple(self.mu(i, j, k) for k in range(1, d3 + 1))
-                for j in range(1, d2 + 1)
-            )
-            for i in range(1, d1 + 1)
-        )
+    def permuted(self, order) -> MultiplicityTensor:
+        """The tensor of permute_families(X, order): each slice matrix
+        moves to its new direction, transposed where its pair flips."""
+        order = tuple(order)
+        pick, moves = family_permutation(order)
+        if order == (1, 2, 3):
+            return self
+        slices = []
+        for old, flip in moves:
+            m = self.slice_matrix(old)
+            if flip:  # an empty matrix has no rows to zip
+                ncols = self.d[DIRECTION_FAMILIES[old][1] - 1]
+                m = tuple(zip(*m)) if m else ((),) * ncols
+            slices.append(m)
+        return MultiplicityTensor(pick(self.d), *slices)
 
 
 def multiplicity_tensor(X: VarietyOfLines) -> MultiplicityTensor:
-    def matrix(direction, nrows, ncols):
+    def matrix(direction):
+        fam_p, fam_q = DIRECTION_FAMILIES[direction]
         cells = X.u(direction)
+        cols = range(1, X.d[fam_q - 1] + 1)
         return tuple(
-            tuple(1 if (r, c) in cells else 0 for c in range(1, ncols + 1))
-            for r in range(1, nrows + 1)
+            tuple(1 if (r, c) in cells else 0 for c in cols)
+            for r in range(1, X.d[fam_p - 1] + 1)
         )
 
-    d1, d2, d3 = X.d
-    return MultiplicityTensor(
-        d=X.d,
-        m3=matrix(3, d1, d2),
-        m2=matrix(2, d1, d3),
-        m1=matrix(1, d2, d3),
-    )
+    return MultiplicityTensor(d=X.d, m3=matrix(3), m2=matrix(2), m1=matrix(1))
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +233,24 @@ def _has_diagonal_pattern(matrix):
     return None
 
 
+def _pattern_witness(order, condition, *indices) -> dict:
+    """Witness, in the original family names, of a pattern found on
+    M.permuted(order) with indices[n] in permuted family n+1."""
+    by_family = dict(zip(order, indices))
+    return {
+        "condition": condition.format(*(FAMILY_NAMES[f - 1] for f in order)),
+        **{name.lower(): by_family[f] for f, name in enumerate(FAMILY_NAMES, 1)},
+    }
+
+
 def criterion_hyp4_numeric(M: MultiplicityTensor):
     """Numeric 4-pattern test on the multiplicity tensor.
 
-    Covers the mixed-family patterns through three tensor conditions
-    and the same-family patterns through the 2x2 diagonal-submatrix
+    Covers the mixed-family patterns through one tensor condition with
+    a doubled first family, run with each family first (A, then C, then
+    B), and the same-family patterns through the 2x2 diagonal-submatrix
     scan of each slice matrix.
     """
-    d1, d2, d3 = M.d
     for direction in (3, 2, 1):
         hit = _has_diagonal_pattern(M.slice_matrix(direction))
         if hit:
@@ -241,49 +259,26 @@ def criterion_hyp4_numeric(M: MultiplicityTensor):
                 "rows": hit[:2],
                 "cols": hit[2:],
             }
-    for a1, a2 in _ordered_pairs(d1):
-        for b1 in range(1, d2 + 1):
-            if M.m3[a1 - 1][b1 - 1] != 1 or M.m3[a2 - 1][b1 - 1] != 0:
-                continue
-            for c1 in range(1, d3 + 1):
-                if M.mu(a1, b1, c1) == 1 and M.mu(a2, b1, c1) == 1:
-                    return False, {
-                        "condition": "doubled-A tensor pattern",
-                        "a": (a1, a2),
-                        "b": (b1,),
-                        "c": (c1,),
-                    }
-    for c1, c2 in _ordered_pairs(d3):
-        for a1 in range(1, d1 + 1):
-            if M.m2[a1 - 1][c1 - 1] != 1 or M.m2[a1 - 1][c2 - 1] != 0:
-                continue
+    for order in ((1, 2, 3), (3, 1, 2), (2, 3, 1)):
+        P = M.permuted(order)
+        d1, d2, d3 = P.d
+        for a1, a2 in _ordered_pairs(d1):
             for b1 in range(1, d2 + 1):
-                if M.mu(a1, b1, c1) == 1 and M.mu(a1, b1, c2) == 1:
-                    return False, {
-                        "condition": "doubled-C tensor pattern",
-                        "a": (a1,),
-                        "b": (b1,),
-                        "c": (c1, c2),
-                    }
-    for b1, b2 in _ordered_pairs(d2):
-        for c1 in range(1, d3 + 1):
-            if M.m1[b1 - 1][c1 - 1] != 1 or M.m1[b2 - 1][c1 - 1] != 0:
-                continue
-            for a1 in range(1, d1 + 1):
-                if M.mu(a1, b1, c1) == 1 and M.mu(a1, b2, c1) == 1:
-                    return False, {
-                        "condition": "doubled-B tensor pattern",
-                        "a": (a1,),
-                        "b": (b1, b2),
-                        "c": (c1,),
-                    }
+                if P.m3[a1 - 1][b1 - 1] != 1 or P.m3[a2 - 1][b1 - 1] != 0:
+                    continue
+                for c1 in range(1, d3 + 1):
+                    if P.mu(a1, b1, c1) == 1 and P.mu(a2, b1, c1) == 1:
+                        return False, _pattern_witness(
+                            order, "doubled-{} tensor pattern",
+                            (a1, a2), (b1,), (c1,),
+                        )
     return True, None
 
 
 def criterion_hyp5_numeric(M: MultiplicityTensor):
     """Numeric 5-pattern test: a 2x2 multiplicity block ((2,1),(2,2))
-    against a slice block ((1,1),(0,1)), in each of the three roles."""
-    d1, d2, d3 = M.d
+    against a slice block ((1,1),(0,1)), in each of the three roles
+    (doubled A-B, then A-C, then B-C)."""
 
     def block_ok(m, r1, r2, s1, s2):
         return (
@@ -293,57 +288,24 @@ def criterion_hyp5_numeric(M: MultiplicityTensor):
             and m[r2 - 1][s2 - 1] == 1
         )
 
-    for a1, a2 in _ordered_pairs(d1):
-        for b1, b2 in _ordered_pairs(d2):
-            if not block_ok(M.m3, a1, a2, b1, b2):
-                continue
-            for c1 in range(1, d3 + 1):
-                if (
-                    M.mu(a1, b1, c1) == 2
-                    and M.mu(a1, b2, c1) == 1
-                    and M.mu(a2, b1, c1) == 2
-                    and M.mu(a2, b2, c1) == 2
-                ):
-                    return False, {
-                        "condition": "doubled-A-B tensor pattern",
-                        "a": (a1, a2),
-                        "b": (b1, b2),
-                        "c": (c1,),
-                    }
-    for a1, a2 in _ordered_pairs(d1):
-        for c1, c2 in _ordered_pairs(d3):
-            if not block_ok(M.m2, a1, a2, c1, c2):
-                continue
-            for b1 in range(1, d2 + 1):
-                if (
-                    M.mu(a1, b1, c1) == 2
-                    and M.mu(a1, b1, c2) == 1
-                    and M.mu(a2, b1, c1) == 2
-                    and M.mu(a2, b1, c2) == 2
-                ):
-                    return False, {
-                        "condition": "doubled-A-C tensor pattern",
-                        "a": (a1, a2),
-                        "b": (b1,),
-                        "c": (c1, c2),
-                    }
-    for b1, b2 in _ordered_pairs(d2):
-        for c1, c2 in _ordered_pairs(d3):
-            if not block_ok(M.m1, b1, b2, c1, c2):
-                continue
-            for a1 in range(1, d1 + 1):
-                if (
-                    M.mu(a1, b1, c1) == 2
-                    and M.mu(a1, b1, c2) == 1
-                    and M.mu(a1, b2, c1) == 2
-                    and M.mu(a1, b2, c2) == 2
-                ):
-                    return False, {
-                        "condition": "doubled-B-C tensor pattern",
-                        "a": (a1,),
-                        "b": (b1, b2),
-                        "c": (c1, c2),
-                    }
+    for order in ((1, 2, 3), (1, 3, 2), (2, 3, 1)):
+        P = M.permuted(order)
+        d1, d2, d3 = P.d
+        for a1, a2 in _ordered_pairs(d1):
+            for b1, b2 in _ordered_pairs(d2):
+                if not block_ok(P.m3, a1, a2, b1, b2):
+                    continue
+                for c1 in range(1, d3 + 1):
+                    if (
+                        P.mu(a1, b1, c1) == 2
+                        and P.mu(a1, b2, c1) == 1
+                        and P.mu(a2, b1, c1) == 2
+                        and P.mu(a2, b2, c1) == 2
+                    ):
+                        return False, _pattern_witness(
+                            order, "doubled-{}-{} tensor pattern",
+                            (a1, a2), (b1, b2), (c1,),
+                        )
     return True, None
 
 

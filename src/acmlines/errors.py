@@ -31,6 +31,10 @@ class BadPermutation(AcmLinesError):
     """A relabeling is not a bijection of the right size."""
 
 
+class BadParameter(AcmLinesError):
+    """A numeric argument (degree box, line probability, dmax) is out of range."""
+
+
 class BadN(AcmLinesError):
     """Cycle length below 4 makes no sense for an induced-cycle test."""
 

@@ -17,9 +17,10 @@ from pathlib import Path
 
 from .criteria import is_acm
 from .ferrers import ferrers_companion, hilbert_function
-from .oracles import hilbert_oracle
-from .sampling import random_variety
-from .variety import VarietyOfLines, variety_to_dict
+from .errors import BadParameter
+from .oracles import _boxrange, hilbert_oracle
+from .sampling import check_sampling, random_variety
+from .variety import VarietyOfLines, _is_int, check_box, variety_to_dict
 
 DEFAULT_ATTEMPTS_PER_TRIAL = 1000
 
@@ -69,12 +70,9 @@ class ExperimentReport:
 
 
 def _first_difference(ha, hb, box):
-    bi, bj, bk = box
-    for i in range(bi + 1):
-        for j in range(bj + 1):
-            for k in range(bk + 1):
-                if ha[i][j][k] != hb[i][j][k]:
-                    return (i, j, k), ha[i][j][k], hb[i][j][k]
+    for i, j, k in _boxrange(box):
+        if ha[i][j][k] != hb[i][j][k]:
+            return (i, j, k), ha[i][j][k], hb[i][j][k]
     return None
 
 
@@ -93,7 +91,10 @@ def run_hf_experiment(
     Deterministic for a fixed seed. ``fixed_inputs`` are consumed
     before any random sampling, one per trial; they must be ACM.
     """
-    box = tuple(box)
+    if not (_is_int(trials) and trials >= 0):
+        raise BadParameter(f"trials must be a non-negative integer, got {trials!r}")
+    box = check_box(box)
+    check_sampling(dmax, p)
     rng = random.Random(seed)
     report = ExperimentReport(trials=trials, box=box, seed=seed)
     queue = list(fixed_inputs)

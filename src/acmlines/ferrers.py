@@ -11,16 +11,20 @@ degrees and the Hilbert function have closed combinatorial forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
+from operator import add, sub
 
 from .criteria import is_acm
 from .errors import NotAcm, NotFerrers
 from .variety import (
     DIRECTION_FAMILIES,
     FAMILY_NAMES,
+    FRONT_ORDERS,
     VarietyOfLines,
+    check_box,
     compact,
     make_variety,
+    permute_families,
     relabel,
 )
 
@@ -36,15 +40,6 @@ def _row_sets(X: VarietyOfLines, direction: int) -> list[set[int]]:
     for p, q in X.u(direction):
         rows[p - 1].add(q)
     return rows
-
-
-def _col_sets(X: VarietyOfLines, direction: int) -> list[set[int]]:
-    _, fam_q = DIRECTION_FAMILIES[direction]
-    ncols = X.d[fam_q - 1]
-    cols = [set() for _ in range(ncols)]
-    for p, q in X.u(direction):
-        cols[q - 1].add(p)
-    return cols
 
 
 def _is_chain(sets) -> bool:
@@ -100,15 +95,12 @@ def is_ferrers_variety(X: VarietyOfLines) -> FerrersCheck:
     returned permutations map old labels to new ones (largest profile
     first) and simultaneously left-justify all three diagrams.
     """
-    # family -> the two (direction, role) places it occurs
-    profiles = {
-        1: (_row_sets(X, 3), _row_sets(X, 2)),
-        2: (_col_sets(X, 3), _row_sets(X, 1)),
-        3: (_col_sets(X, 2), _col_sets(X, 1)),
-    }
     perms = []
     for f in (1, 2, 3):
-        first, second = profiles[f]
+        # with f permuted to the front, its two diagrams are the
+        # directions 3 and 2, and f indexes their rows
+        Y = permute_families(X, FRONT_ORDERS[f])
+        first, second = _row_sets(Y, 3), _row_sets(Y, 2)
         indexed = [
             (frozenset(first[i - 1]), frozenset(second[i - 1]), i)
             for i in range(1, X.d[f - 1] + 1)
@@ -186,16 +178,13 @@ def degree_sets(X: VarietyOfLines) -> DegreeSets:
     internally; degrees do not depend on labels).
     """
     Y, _ = _canonical(X)
-    embed = {
-        3: lambda a, b: (a, b, 0),
-        2: lambda a, c: (a, 0, c),
-        1: lambda b, c: (0, b, c),
-    }
     by_direction = {}
-    for h in (3, 2, 1):
-        partition = row_partition(Y, h)
-        pairs = points_generator_degrees(partition)
-        by_direction[h] = {embed[h](p, q) for (p, q) in pairs}
+    for h, families in DIRECTION_FAMILIES.items():
+        # a point degree (p, q) of direction h, with 0 for the free family
+        by_direction[h] = {
+            tuple(dict(zip(families, pair)).get(f, 0) for f in (1, 2, 3))
+            for pair in points_generator_degrees(row_partition(Y, h))
+        }
     combined = frozenset(
         tuple(max(coords) for coords in zip(t3, t2, t1))
         for t3, t2, t1 in product(
@@ -261,8 +250,8 @@ def minimal_generators(X: VarietyOfLines) -> GeneratorSet:
 
 def delta_hilbert(X: VarietyOfLines, box) -> list:
     """0/1 array over the box: 0 where some minimal degree divides."""
+    bi, bj, bk = check_box(box)
     minimal = degree_sets(X).minimal
-    bi, bj, bk = box
     return [
         [
             [
@@ -276,32 +265,32 @@ def delta_hilbert(X: VarietyOfLines, box) -> list:
 
 
 def hilbert_function(X: VarietyOfLines, box) -> list:
-    """Hilbert function as the triple prefix sum of the 0/1 array."""
-    delta = delta_hilbert(X, box)
-    bi, bj, bk = box
-    H = [
-        [[0] * (bk + 1) for _ in range(bj + 1)] for _ in range(bi + 1)
-    ]
-    for i in range(bi + 1):
-        for j in range(bj + 1):
-            for k in range(bk + 1):
-                total = delta[i][j][k]
-                if i:
-                    total += H[i - 1][j][k]
-                if j:
-                    total += H[i][j - 1][k]
-                if k:
-                    total += H[i][j][k - 1]
-                if i and j:
-                    total -= H[i - 1][j - 1][k]
-                if i and k:
-                    total -= H[i - 1][j][k - 1]
-                if j and k:
-                    total -= H[i][j - 1][k - 1]
-                if i and j and k:
-                    total += H[i - 1][j - 1][k - 1]
-                H[i][j][k] = total
+    """Hilbert function as the triple prefix sum of the 0/1 array,
+    summed along k, then j, then i."""
+    H = delta_hilbert(X, box)
+    for plane in H:
+        for row in plane:
+            row[:] = accumulate(row)
+        for row_below, row in zip(plane, plane[1:]):
+            row[:] = map(add, row, row_below)
+    for plane_below, plane in zip(H, H[1:]):
+        for row_below, row in zip(plane_below, plane):
+            row[:] = map(add, row, row_below)
     return H
+
+
+def hilbert_difference(H) -> list:
+    """First difference of a Hilbert table: the inverse of the triple
+    prefix sum in hilbert_function, differenced along i, then j, then k."""
+    D = [[list(row) for row in plane] for plane in H]
+    for i in range(len(D) - 1, 0, -1):
+        D[i] = [list(map(sub, row, below)) for row, below in zip(D[i], D[i - 1])]
+    for plane in D:
+        for j in range(len(plane) - 1, 0, -1):
+            plane[j] = list(map(sub, plane[j], plane[j - 1]))
+        for row in plane:
+            row[1:] = map(sub, row[1:], row[:-1])
+    return D
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +308,6 @@ def _full_rectangle(X, direction) -> bool:
     return len(X.u(direction)) == X.d[fam_p - 1] * X.d[fam_q - 1]
 
 
-def _pure_degree(f: int, count: int) -> tuple[int, int, int]:
-    deg = [0, 0, 0]
-    deg[f - 1] = count
-    return tuple(deg)
-
-
 def _all_family_product(f: int, count: int) -> str:
     fam = FAMILY_NAMES[f - 1]
     return "*".join(f"{fam}{i}" for i in range(1, count + 1))
@@ -339,43 +322,29 @@ def detect_complete_intersection(X: VarietyOfLines):
     """
     X = compact(X)
     nonempty = [h for h in (3, 2, 1) if X.u(h)]
+    if not 0 < len(nonempty) < 3 or not all(
+        _full_rectangle(X, h) for h in nonempty
+    ):
+        return None
+    # the families of each generator
     if len(nonempty) == 1:
-        h = nonempty[0]
-        if not _full_rectangle(X, h):
-            return None
-        fam_p, fam_q = DIRECTION_FAMILIES[h]
-        deg1 = _pure_degree(fam_p, X.d[fam_p - 1])
-        deg2 = _pure_degree(fam_q, X.d[fam_q - 1])
-        return CompleteIntersection(
-            degrees=(deg1, deg2),
-            products=(
-                _all_family_product(fam_p, X.d[fam_p - 1]),
-                _all_family_product(fam_q, X.d[fam_q - 1]),
-            ),
-        )
-    if len(nonempty) == 2:
+        groups = [(f,) for f in DIRECTION_FAMILIES[nonempty[0]]]
+    else:
         h1, h2 = nonempty
-        shared = set(DIRECTION_FAMILIES[h1]) & set(DIRECTION_FAMILIES[h2])
-        f = shared.pop()
-        others = [
-            g
-            for g in (1, 2, 3)
-            if g != f
-        ]
-        if not (_full_rectangle(X, h1) and _full_rectangle(X, h2)):
-            return None
-        deg1 = _pure_degree(f, X.d[f - 1])
-        deg2 = tuple(
-            X.d[g - 1] if g in others else 0 for g in (1, 2, 3)
-        )
-        mixed = "*".join(
-            _all_family_product(g, X.d[g - 1]) for g in others if X.d[g - 1]
-        )
-        return CompleteIntersection(
-            degrees=(deg1, deg2),
-            products=(_all_family_product(f, X.d[f - 1]), mixed),
-        )
-    return None
+        (f,) = set(DIRECTION_FAMILIES[h1]) & set(DIRECTION_FAMILIES[h2])
+        groups = [(f,), tuple(g for g in (1, 2, 3) if g != f)]
+    return CompleteIntersection(
+        degrees=tuple(
+            tuple(X.d[g - 1] if g in group else 0 for g in (1, 2, 3))
+            for group in groups
+        ),
+        products=tuple(
+            "*".join(
+                _all_family_product(g, X.d[g - 1]) for g in group if X.d[g - 1]
+            )
+            for group in groups
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, product, zip_longest
+from math import prod
+from operator import itemgetter
 
 from .criteria import is_acm
 from .errors import BoxTooSmallWarning, EmptyVariety, SizeLimit
-from .ferrers import degree_sets, ferrers_companion
+from .ferrers import _row_sets, degree_sets, ferrers_companion
 from .graphs import build_graph
 from .linalg import (
     bareiss_rank,
@@ -36,9 +38,16 @@ from .linalg import (
     scale_row_to_int,
     sparse_rank,
 )
-from .variety import VarietyOfLines
+from .variety import (
+    FRONT_ORDERS,
+    VarietyOfLines,
+    check_box,
+    family_permutation,
+    permute_families,
+)
 
 MAX_REISNER_VERTICES = 14
+_NONE = frozenset()
 
 
 def _boxrange(box):
@@ -101,6 +110,67 @@ def _eval_row(node_count: int, node: int):
     return lagrange_coeffs(node_count, node)
 
 
+def _condition_rows(sizes, conditions) -> list[list[int]]:
+    """Integer rows of vanishing conditions on a tensor product of value
+    spaces (factor n has sizes[n] coordinates), flattened row-major.
+
+    A condition gives one integer node per factor, or None for a factor
+    it leaves free: it asks a polynomial to vanish on the coordinate
+    line (or at the point) those nodes cut out. Its rows are Kronecker
+    products of the nodes' evaluation functionals, with each unit vector
+    of the free factor in turn.
+    """
+    rows = []
+    for nodes in conditions:
+        factors = [
+            [_eval_row(size, node)] if node is not None
+            else [[int(s == t) for s in range(size)] for t in range(size)]
+            for size, node in zip(sizes, nodes)
+        ]
+        for vectors in product(*factors):
+            rows.append(scale_row_to_int([prod(v) for v in product(*vectors)]))
+    return rows
+
+
+def _dense_kernel(sizes, conditions) -> list[dict]:
+    """Kernel basis of _condition_rows as sparse {cell: value} dicts over
+    the 1-based value-grid cells."""
+    cells = list(product(*(range(1, size + 1) for size in sizes)))
+    return [
+        {cells[n]: v for n, v in enumerate(vec) if v}
+        for vec in nullspace(_condition_rows(sizes, conditions), len(cells))
+    ]
+
+
+def _conditions2(rows, cols, points):
+    """The _rank2 rows, columns and points as _condition_rows conditions."""
+    return (
+        [(r, None) for r in sorted(rows)]
+        + [(None, c) for c in sorted(cols)]
+        + sorted(points)
+    )
+
+
+def _line_conditions(X: VarietyOfLines):
+    """One condition per line of X, for _condition_rows."""
+    return (
+        [(a, b, None) for a, b in sorted(X.U3)]
+        + [(a, None, c) for a, c in sorted(X.U2)]
+        + [(None, b, c) for b, c in sorted(X.U1)]
+    )
+
+
+def _fibres(j, rows, cols, points) -> dict[int, set[int]]:
+    """For a first side with at most j+1 indices: each node y in 1..j+1
+    outside rows, with the second-side nodes where its fibre must vanish
+    (the columns, and the points with first coordinate y)."""
+    fibres = {y: set(cols) for y in range(1, j + 2) if y not in rows}
+    for b, c in points:
+        if b in fibres:
+            fibres[b].add(c)
+    return fibres
+
+
 def _rank2(deg_pair, rows, cols, points, d_pair, memo) -> int:
     """dim of sum of row spaces v_r (x) Q, column spaces P (x) w_c and
     single tensors v_b (x) w_c inside P (x) Q.
@@ -120,21 +190,11 @@ def _rank2(deg_pair, rows, cols, points, d_pair, memo) -> int:
     j, k = deg_pair
     d2, d3 = d_pair
     if d2 <= j + 1:
-        pts_by_y: dict[int, set[int]] = {}
-        for b, c in points:
-            pts_by_y.setdefault(b, set()).add(c)
-        rows_set = set(rows)
-        cols_set = set(cols)
-        total = 0
-        for y in range(1, j + 2):
-            if y in rows_set:
-                total += k + 1
-            else:
-                s = cols_set | pts_by_y.get(y, set())
-                total += min(len(s), k + 1)
-        memo[key] = total
-        return total
-    if d3 <= k + 1:
+        fibres = _fibres(j, rows, cols, points)
+        total = (j + 1 - len(fibres)) * (k + 1) + sum(
+            min(len(s), k + 1) for s in fibres.values()
+        )
+    elif d3 <= k + 1:
         total = _rank2(
             (k, j),
             rows=cols,
@@ -143,126 +203,53 @@ def _rank2(deg_pair, rows, cols, points, d_pair, memo) -> int:
             d_pair=(d3, d2),
             memo=memo,
         )
-        memo[key] = total
-        return total
-    # both sides deficient: small dense block
-    matrix = []
-    for r in sorted(rows):
-        vr = _eval_row(j + 1, r)
-        for z0 in range(k + 1):
-            row = [0] * ((j + 1) * (k + 1))
-            for y in range(j + 1):
-                row[y * (k + 1) + z0] = vr[y]
-            matrix.append(scale_row_to_int(row))
-    for c in sorted(cols):
-        wc = _eval_row(k + 1, c)
-        for y0 in range(j + 1):
-            row = [0] * ((j + 1) * (k + 1))
-            for z in range(k + 1):
-                row[y0 * (k + 1) + z] = wc[z]
-            matrix.append(scale_row_to_int(row))
-    for b, c in sorted(points):
-        vb = _eval_row(j + 1, b)
-        wc = _eval_row(k + 1, c)
-        row = [vb[y] * wc[z] for y in range(j + 1) for z in range(k + 1)]
-        matrix.append(scale_row_to_int(row))
-    total = bareiss_rank(matrix)
+    else:
+        # both sides deficient: small dense block
+        total = bareiss_rank(
+            _condition_rows((j + 1, k + 1), _conditions2(rows, cols, points))
+        )
     memo[key] = total
     return total
 
 
+def _front_view(deg, X: VarietyOfLines, memo):
+    """The problem at deg split along its first deficient factor f: with
+    d_f <= deg_f + 1 it is one two-factor problem per node x of f.
+
+    Returns None when every factor is deficient, else X permuted to put
+    f first (order FRONT_ORDERS[f]) and grouped once, in memo: the order,
+    its pick (family_permutation), the direction-3 rows and direction-2
+    columns of each front index (_row_sets, d_f long; the nodes past d_f
+    have none), the direction-1 lines as points, and the last two family
+    sizes."""
+    for f in (1, 2, 3):
+        if X.d[f - 1] <= deg[f - 1] + 1:
+            break
+    else:
+        return None
+    key = ("front", f, X.d, X.U3, X.U2, X.U1)
+    view = memo.get(key)
+    if view is None:
+        order = FRONT_ORDERS[f]
+        Y = permute_families(X, order)
+        pick = family_permutation(order)[0]
+        view = order, pick, _row_sets(Y, 3), _row_sets(Y, 2), Y.U1, Y.d[1:]
+        memo[key] = view
+    return view
+
+
 def _rank3(deg, X: VarietyOfLines, memo) -> int:
-    i, j, k = deg
-    d1, d2, d3 = X.d
-    if d1 <= i + 1:
-        rows_by_x: dict[int, set[int]] = {}
-        for a, b in X.U3:
-            rows_by_x.setdefault(a, set()).add(b)
-        cols_by_x: dict[int, set[int]] = {}
-        for a, c in X.U2:
-            cols_by_x.setdefault(a, set()).add(c)
-        return sum(
-            _rank2(
-                (j, k),
-                rows_by_x.get(x, frozenset()),
-                cols_by_x.get(x, frozenset()),
-                X.U1,
-                (d2, d3),
-                memo,
-            )
-            for x in range(1, i + 2)
-        )
-    if d2 <= j + 1:
-        rows_by_y: dict[int, set[int]] = {}
-        for a, b in X.U3:
-            rows_by_y.setdefault(b, set()).add(a)
-        cols_by_y: dict[int, set[int]] = {}
-        for b, c in X.U1:
-            cols_by_y.setdefault(b, set()).add(c)
-        return sum(
-            _rank2(
-                (i, k),
-                rows_by_y.get(y, frozenset()),
-                cols_by_y.get(y, frozenset()),
-                X.U2,
-                (d1, d3),
-                memo,
-            )
-            for y in range(1, j + 2)
-        )
-    if d3 <= k + 1:
-        rows_by_z: dict[int, set[int]] = {}
-        for a, c in X.U2:
-            rows_by_z.setdefault(c, set()).add(a)
-        cols_by_z: dict[int, set[int]] = {}
-        for b, c in X.U1:
-            cols_by_z.setdefault(c, set()).add(b)
-        return sum(
-            _rank2(
-                (i, j),
-                rows_by_z.get(z, frozenset()),
-                cols_by_z.get(z, frozenset()),
-                X.U3,
-                (d1, d2),
-                memo,
-            )
-            for z in range(1, k + 2)
-        )
-    # every factor deficient: dense, but then all degrees are small
-    ncells = (i + 1) * (j + 1) * (k + 1)
-
-    def flat(x, y, z):
-        return (x * (j + 1) + y) * (k + 1) + z
-
-    matrix = []
-    for a, b in sorted(X.U3):
-        ua = _eval_row(i + 1, a)
-        vb = _eval_row(j + 1, b)
-        for z0 in range(k + 1):
-            row = [0] * ncells
-            for x in range(i + 1):
-                for y in range(j + 1):
-                    row[flat(x, y, z0)] = ua[x] * vb[y]
-            matrix.append(scale_row_to_int(row))
-    for a, c in sorted(X.U2):
-        ua = _eval_row(i + 1, a)
-        wc = _eval_row(k + 1, c)
-        for y0 in range(j + 1):
-            row = [0] * ncells
-            for x in range(i + 1):
-                for z in range(k + 1):
-                    row[flat(x, y0, z)] = ua[x] * wc[z]
-            matrix.append(scale_row_to_int(row))
-    for b, c in sorted(X.U1):
-        vb = _eval_row(j + 1, b)
-        wc = _eval_row(k + 1, c)
-        for x0 in range(i + 1):
-            row = [0] * ncells
-            for y in range(j + 1):
-                for z in range(k + 1):
-                    row[flat(x0, y, z)] = vb[y] * wc[z]
-            matrix.append(scale_row_to_int(row))
-    return bareiss_rank(matrix)
+    view = _front_view(deg, X, memo)
+    if view is None:
+        # every factor deficient: dense, but then all degrees are small
+        sizes = tuple(t + 1 for t in deg)
+        return bareiss_rank(_condition_rows(sizes, _line_conditions(X)))
+    _, pick, rows, cols, points, d_pair = view
+    i, j, k = pick(deg)
+    return sum(
+        _rank2((j, k), r, c, points, d_pair, memo)
+        for r, c, _ in zip_longest(rows, cols, range(i + 1), fillvalue=_NONE)
+    )
 
 
 def hilbert_oracle_at(X: VarietyOfLines, deg, memo=None) -> int:
@@ -275,7 +262,7 @@ def hilbert_oracle_at(X: VarietyOfLines, deg, memo=None) -> int:
 def hilbert_oracle(X: VarietyOfLines, box) -> list:
     """Hilbert function table over the box (inclusive bounds)."""
     memo: dict = {}
-    bi, bj, bk = box
+    bi, bj, bk = check_box(box)
     H = [[[0] * (bk + 1) for _ in range(bj + 1)] for _ in range(bi + 1)]
     for i, j, k in _boxrange(box):
         H[i][j][k] = _rank3((i, j, k), X, memo)
@@ -292,16 +279,8 @@ def _kernel2(deg_pair, rows, cols, points, d_pair):
     j, k = deg_pair
     d2, d3 = d_pair
     if d2 <= j + 1:
-        pts_by_y: dict[int, set[int]] = {}
-        for b, c in points:
-            pts_by_y.setdefault(b, set()).add(c)
-        rows_set = set(rows)
-        cols_set = set(cols)
         out = []
-        for y in range(1, j + 2):
-            if y in rows_set:
-                continue
-            s = cols_set | pts_by_y.get(y, set())
+        for y, s in _fibres(j, rows, cols, points).items():
             if all(c <= k + 1 for c in s):
                 out.extend(
                     {(y, z): 1} for z in range(1, k + 2) if z not in s
@@ -324,133 +303,22 @@ def _kernel2(deg_pair, rows, cols, points, d_pair):
         return [
             {(y, z): v for (z, y), v in g.items()} for g in swapped
         ]
-    cells = [(y, z) for y in range(1, j + 2) for z in range(1, k + 2)]
-    index = {cell: n for n, cell in enumerate(cells)}
-    matrix = []
-    for r in sorted(rows):
-        vr = _eval_row(j + 1, r)
-        for z0 in range(1, k + 2):
-            row = [0] * len(cells)
-            for y in range(1, j + 2):
-                row[index[(y, z0)]] = vr[y - 1]
-            matrix.append(row)
-    for c in sorted(cols):
-        wc = _eval_row(k + 1, c)
-        for y0 in range(1, j + 2):
-            row = [0] * len(cells)
-            for z in range(1, k + 2):
-                row[index[(y0, z)]] = wc[z - 1]
-            matrix.append(row)
-    for b, c in sorted(points):
-        vb = _eval_row(j + 1, b)
-        wc = _eval_row(k + 1, c)
-        row = [0] * len(cells)
-        for y in range(1, j + 2):
-            for z in range(1, k + 2):
-                row[index[(y, z)]] = vb[y - 1] * wc[z - 1]
-        matrix.append(row)
-    return [
-        {cells[n]: v for n, v in enumerate(vec) if v}
-        for vec in nullspace(matrix, len(cells))
-    ]
+    return _dense_kernel((j + 1, k + 1), _conditions2(rows, cols, points))
 
 
-def _kernel3(deg, X: VarietyOfLines):
+def _kernel3(deg, X: VarietyOfLines, memo):
     """Basis of I_deg in value coordinates, sparse {(x,y,z): value}."""
-    i, j, k = deg
-    d1, d2, d3 = X.d
-    if d1 <= i + 1:
-        rows_by_x: dict[int, set[int]] = {}
-        for a, b in X.U3:
-            rows_by_x.setdefault(a, set()).add(b)
-        cols_by_x: dict[int, set[int]] = {}
-        for a, c in X.U2:
-            cols_by_x.setdefault(a, set()).add(c)
-        out = []
-        for x in range(1, i + 2):
-            for g in _kernel2(
-                (j, k),
-                rows_by_x.get(x, frozenset()),
-                cols_by_x.get(x, frozenset()),
-                X.U1,
-                (d2, d3),
-            ):
-                out.append({(x, y, z): v for (y, z), v in g.items()})
-        return out
-    if d2 <= j + 1:
-        rows_by_y: dict[int, set[int]] = {}
-        for a, b in X.U3:
-            rows_by_y.setdefault(b, set()).add(a)
-        cols_by_y: dict[int, set[int]] = {}
-        for b, c in X.U1:
-            cols_by_y.setdefault(b, set()).add(c)
-        out = []
-        for y in range(1, j + 2):
-            for g in _kernel2(
-                (i, k),
-                rows_by_y.get(y, frozenset()),
-                cols_by_y.get(y, frozenset()),
-                X.U2,
-                (d1, d3),
-            ):
-                out.append({(x, y, z): v for (x, z), v in g.items()})
-        return out
-    if d3 <= k + 1:
-        rows_by_z: dict[int, set[int]] = {}
-        for a, c in X.U2:
-            rows_by_z.setdefault(c, set()).add(a)
-        cols_by_z: dict[int, set[int]] = {}
-        for b, c in X.U1:
-            cols_by_z.setdefault(c, set()).add(b)
-        out = []
-        for z in range(1, k + 2):
-            for g in _kernel2(
-                (i, j),
-                rows_by_z.get(z, frozenset()),
-                cols_by_z.get(z, frozenset()),
-                X.U3,
-                (d1, d2),
-            ):
-                out.append({(x, y, z): v for (x, y), v in g.items()})
-        return out
-    cells = [
-        (x, y, z)
-        for x in range(1, i + 2)
-        for y in range(1, j + 2)
-        for z in range(1, k + 2)
-    ]
-    index = {cell: n for n, cell in enumerate(cells)}
-    matrix = []
-    for a, b in sorted(X.U3):
-        ua = _eval_row(i + 1, a)
-        vb = _eval_row(j + 1, b)
-        for z0 in range(1, k + 2):
-            row = [0] * len(cells)
-            for x in range(1, i + 2):
-                for y in range(1, j + 2):
-                    row[index[(x, y, z0)]] = ua[x - 1] * vb[y - 1]
-            matrix.append(row)
-    for a, c in sorted(X.U2):
-        ua = _eval_row(i + 1, a)
-        wc = _eval_row(k + 1, c)
-        for y0 in range(1, j + 2):
-            row = [0] * len(cells)
-            for x in range(1, i + 2):
-                for z in range(1, k + 2):
-                    row[index[(x, y0, z)]] = ua[x - 1] * wc[z - 1]
-            matrix.append(row)
-    for b, c in sorted(X.U1):
-        vb = _eval_row(j + 1, b)
-        wc = _eval_row(k + 1, c)
-        for x0 in range(1, i + 2):
-            row = [0] * len(cells)
-            for y in range(1, j + 2):
-                for z in range(1, k + 2):
-                    row[index[(x0, y, z)]] = vb[y - 1] * wc[z - 1]
-            matrix.append(row)
+    view = _front_view(deg, X, memo)
+    if view is None:
+        return _dense_kernel(tuple(t + 1 for t in deg), _line_conditions(X))
+    order, pick, rows, cols, points, d_pair = view
+    i, j, k = pick(deg)
+    # front-view cell -> cell in X's axis order
+    unpermute = itemgetter(*(order.index(g) for g in (1, 2, 3)))
     return [
-        {cells[n]: v for n, v in enumerate(vec) if v}
-        for vec in nullspace(matrix, len(cells))
+        {unpermute((x, y, z)): v for (y, z), v in g.items()}
+        for r, c, x in zip_longest(rows, cols, range(1, i + 2), fillvalue=_NONE)
+        for g in _kernel2((j, k), r, c, points, d_pair)
     ]
 
 
@@ -485,7 +353,7 @@ def generator_degree_scan(X: VarietyOfLines, box) -> dict:
     differences are minimal generators. Warns when the box provably
     cuts off generators of an ACM variety.
     """
-    box = tuple(box)
+    box = check_box(box)
     if not X.is_empty and is_acm(X).acm:
         guaranteed = degree_sets(ferrers_companion(X)).minimal
         needed = tuple(max(t[f] for t in guaranteed) for f in range(3))
@@ -501,7 +369,7 @@ def generator_degree_scan(X: VarietyOfLines, box) -> dict:
         i, j, k = t
         dim_ring = (i + 1) * (j + 1) * (k + 1)
         dim_ideal = dim_ring - _rank3(t, X, memo)
-        kernels[t] = _kernel3(t, X) if dim_ideal else []
+        kernels[t] = _kernel3(t, X, memo) if dim_ideal else []
         assert len(kernels[t]) == dim_ideal
         if dim_ideal == 0:
             continue

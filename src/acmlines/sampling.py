@@ -1,47 +1,67 @@
-"""Random varieties for experiments and property tests."""
+"""Random varieties for experiments and property tests, and the
+exhaustive population of a small box."""
 
 from __future__ import annotations
 
-from .criteria import is_acm
-from .variety import VarietyOfLines, compact, make_variety
+from itertools import product
+
+from .criteria import is_acm  # noqa: F401  perfbench/selftest.py traces this binding
+from .errors import BadParameter
+from .variety import (
+    DIRECTION_FAMILIES,
+    VarietyOfLines,
+    _is_int,
+    compact,
+    make_variety,
+)
+
+
+def _pairs(d, direction):
+    """Every index pair of one direction in the box d, row-major."""
+    fam_p, fam_q = DIRECTION_FAMILIES[direction]
+    return product(range(1, d[fam_p - 1] + 1), range(1, d[fam_q - 1] + 1))
+
+
+def _variety(d, u) -> VarietyOfLines:
+    """The compacted variety with index sets u[3], u[2], u[1] in the box d."""
+    return compact(make_variety(d, u[3], u[2], u[1]))
+
+
+def all_varieties():
+    """Every nonempty variety whose lines fit in the 2x2x2 box, compacted.
+
+    Yields the 2^12 - 1 = 4,095 subsets of the 12 candidate lines in a
+    fixed order: bit b of a counter running from 1 selects the b-th
+    candidate, listed direction 3, 2, 1 and row-major.
+    """
+    d = (2, 2, 2)
+    candidates = [(h, pair) for h in (3, 2, 1) for pair in _pairs(d, h)]
+    for bits in range(1, 1 << len(candidates)):
+        u = {3: set(), 2: set(), 1: set()}
+        for b, (h, pair) in enumerate(candidates):
+            if bits >> b & 1:
+                u[h].add(pair)
+        yield _variety(d, u)
+
+
+def check_sampling(dmax, p) -> None:
+    """Raise BadParameter unless random_variety(rng, dmax, p) can draw:
+    dmax a positive integer and p in (0, 1]."""
+    if not (_is_int(dmax) and dmax >= 1):
+        raise BadParameter(f"dmax must be a positive integer, got {dmax!r}")
+    if not 0 < p <= 1:
+        raise BadParameter(f"line probability must be in (0, 1], got {p!r}")
 
 
 def random_variety(rng, dmax: int, p: float = 0.4) -> VarietyOfLines:
     """Nonempty compacted variety: each candidate line kept with
     probability p over a random box with sides up to dmax."""
+    check_sampling(dmax, p)
     while True:
-        d1 = rng.randint(1, dmax)
-        d2 = rng.randint(1, dmax)
-        d3 = rng.randint(1, dmax)
-        u3 = {
-            (i, j)
-            for i in range(1, d1 + 1)
-            for j in range(1, d2 + 1)
-            if rng.random() < p
-        }
-        u2 = {
-            (i, k)
-            for i in range(1, d1 + 1)
-            for k in range(1, d3 + 1)
-            if rng.random() < p
-        }
-        u1 = {
-            (j, k)
-            for j in range(1, d2 + 1)
-            for k in range(1, d3 + 1)
-            if rng.random() < p
-        }
-        if u3 or u2 or u1:
-            return compact(make_variety((d1, d2, d3), u3, u2, u1))
-
-
-def random_acm_variety(rng, dmax: int, p: float = 0.4, max_attempts: int = 1000):
-    """Rejection-sample a random variety until one is ACM, or None."""
-    for _ in range(max_attempts):
-        X = random_variety(rng, dmax, p)
-        if is_acm(X).acm:
-            return X
-    return None
+        d = (rng.randint(1, dmax), rng.randint(1, dmax), rng.randint(1, dmax))
+        u = {h: {pair for pair in _pairs(d, h) if rng.random() < p} for h in (3, 2, 1)}
+        if any(u.values()):
+            return _variety(d, u)
 
 
 def random_partition(rng, max_rows: int, max_cols: int) -> tuple[int, ...]:
@@ -57,26 +77,15 @@ def random_ferrers_variety(rng, dmax: int) -> VarietyOfLines:
     """Nonempty compacted variety whose three diagrams are staircases."""
     while True:
         parts = [random_partition(rng, dmax, dmax) for _ in range(3)]
-        if not any(parts):
-            continue
-        diagrams = [
-            {
-                (r, c)
-                for r, size in enumerate(partition, start=1)
-                for c in range(1, size + 1)
-            }
-            for partition in parts
-        ]
-        d1 = max(
-            [len(parts[0]), len(parts[1])]
-            + [0]
-        )
-        d2 = max(
-            [parts[0][0] if parts[0] else 0, len(parts[2])]
-        )
-        d3 = max(
-            [parts[1][0] if parts[1] else 0, parts[2][0] if parts[2] else 0]
-        )
-        return compact(
-            make_variety((d1, d2, d3), diagrams[0], diagrams[1], diagrams[2])
-        )
+        if any(parts):
+            return _variety(
+                (dmax, dmax, dmax),
+                {
+                    h: {
+                        (r, c)
+                        for r, size in enumerate(partition, start=1)
+                        for c in range(1, size + 1)
+                    }
+                    for h, partition in zip((3, 2, 1), parts)
+                },
+            )

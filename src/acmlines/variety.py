@@ -17,9 +17,12 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
+    BadParameter,
     DuplicateLine,
     EmptyPointSet,
     OutOfBounds,
@@ -34,6 +37,9 @@ FAMILY_NAMES = ("A", "B", "C")
 # Families (1=A, 2=B, 3=C) indexing the pair stored for each line direction.
 DIRECTION_FAMILIES = {3: (1, 2), 2: (1, 3), 1: (2, 3)}
 
+# Orders (see permute_families) bringing one family to the front, others kept.
+FRONT_ORDERS = {1: (1, 2, 3), 2: (2, 1, 3), 3: (3, 1, 2)}
+
 
 class HyperplaneId(NamedTuple):
     """One coordinate hyperplane, e.g. A3 = ('A', 3)."""
@@ -43,6 +49,11 @@ class HyperplaneId(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.family}{self.index}"
+
+
+def _is_int(x) -> bool:
+    """A JSON integer; booleans are not indices."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _family_number(family) -> int:
@@ -64,10 +75,10 @@ class VarietyOfLines:
     U1: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        d1, d2, d3 = self.d
-        if min(d1, d2, d3) < 0:
+        if min(self.d) < 0:
             raise OutOfBounds(f"negative hyperplane count in d={self.d}")
-        for direction, bound_pair in ((3, (d1, d2)), (2, (d1, d3)), (1, (d2, d3))):
+        for direction, (fam_p, fam_q) in DIRECTION_FAMILIES.items():
+            bound_pair = (self.d[fam_p - 1], self.d[fam_q - 1])
             for p, q in self.u(direction):
                 if not (1 <= p <= bound_pair[0] and 1 <= q <= bound_pair[1]):
                     raise OutOfBounds(
@@ -135,34 +146,36 @@ def validation_errors(raw: Mapping) -> list[str]:
     Unused hyperplane indices are reported too; callers decide whether
     they are fatal (strict) or fixable by compaction.
     """
+    if not isinstance(raw, Mapping):
+        return [f"a variety must be a JSON object, got {type(raw).__name__}"]
     problems = []
     d = raw.get("d")
     if (
         not isinstance(d, (list, tuple))
         or len(d) != 3
-        or not all(isinstance(x, int) and x >= 0 for x in d)
+        or not all(_is_int(x) and x >= 0 for x in d)
     ):
         return [f"d must be three non-negative integers, got {d!r}"]
-    d1, d2, d3 = d
-    bounds = {"U3": (d1, d2), "U2": (d1, d3), "U1": (d2, d3)}
     used = {1: set(), 2: set(), 3: set()}
-    for key in ("U3", "U2", "U1"):
-        direction = int(key[1])
-        fam_p, fam_q = DIRECTION_FAMILIES[direction]
+    for direction, (fam_p, fam_q) in DIRECTION_FAMILIES.items():
+        key = f"U{direction}"
+        bounds = (d[fam_p - 1], d[fam_q - 1])
         seen = set()
-        for entry in raw.get(key, ()):
+        entries = raw.get(key, ())
+        if not isinstance(entries, (list, tuple)):
+            problems.append(f"{key} must be a list of index pairs, got {entries!r}")
+            continue
+        for entry in entries:
             if not (
                 isinstance(entry, (list, tuple))
                 and len(entry) == 2
-                and all(isinstance(x, int) for x in entry)
+                and all(_is_int(x) for x in entry)
             ):
                 problems.append(f"{key}: entry {entry!r} is not an index pair")
                 continue
             p, q = entry
-            if not (1 <= p <= bounds[key][0] and 1 <= q <= bounds[key][1]):
-                problems.append(
-                    f"{key}: line ({p},{q}) outside bounds {bounds[key]}"
-                )
+            if not (1 <= p <= bounds[0] and 1 <= q <= bounds[1]):
+                problems.append(f"{key}: line ({p},{q}) outside bounds {bounds}")
                 continue
             if (p, q) in seen:
                 problems.append(f"{key}: duplicate line ({p},{q})")
@@ -177,6 +190,14 @@ def validation_errors(raw: Mapping) -> list[str]:
                     f"unused hyperplane {FAMILY_NAMES[f - 1]}{i}"
                 )
     return problems
+
+
+def check_box(box) -> tuple[int, int, int]:
+    """A degree box (inclusive bounds) as three non-negative integers."""
+    box = tuple(box)
+    if len(box) != 3 or not all(_is_int(b) and b >= 0 for b in box):
+        raise BadParameter(f"box must be three non-negative integers, got {box!r}")
+    return box
 
 
 def validate(raw: Mapping, strict: bool = False) -> VarietyOfLines:
@@ -208,6 +229,18 @@ def validate(raw: Mapping, strict: bool = False) -> VarietyOfLines:
     return variety
 
 
+def _renumber(X: VarietyOfLines, d, maps) -> VarietyOfLines:
+    """X's lines in the box d, each family f's indices mapped by maps[f]."""
+
+    def remap(direction):
+        fam_p, fam_q = DIRECTION_FAMILIES[direction]
+        return frozenset(
+            (maps[fam_p][p], maps[fam_q][q]) for (p, q) in X.u(direction)
+        )
+
+    return VarietyOfLines(d=d, U3=remap(3), U2=remap(2), U1=remap(1))
+
+
 def compact(X: VarietyOfLines) -> VarietyOfLines:
     """Renumber each family's used indices to 1..n, preserving order."""
     maps = {}
@@ -216,16 +249,7 @@ def compact(X: VarietyOfLines) -> VarietyOfLines:
         used = sorted(X.used_indices(f))
         maps[f] = {old: new for new, old in enumerate(used, start=1)}
         new_d.append(len(used))
-
-    def remap(direction):
-        fam_p, fam_q = DIRECTION_FAMILIES[direction]
-        return frozenset(
-            (maps[fam_p][p], maps[fam_q][q]) for (p, q) in X.u(direction)
-        )
-
-    return VarietyOfLines(
-        d=tuple(new_d), U3=remap(3), U2=remap(2), U1=remap(1)
-    )
+    return _renumber(X, tuple(new_d), maps)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +277,7 @@ def grid_from_points(points: Iterable[tuple[int, int, int]]) -> VarietyOfLines:
     if not point_set:
         raise EmptyPointSet("grid construction needs at least one point")
     for p in point_set:
-        if len(p) != 3 or not all(isinstance(x, int) and x >= 1 for x in p):
+        if len(p) != 3 or not all(_is_int(x) and x >= 1 for x in p):
             raise OutOfBounds(f"bad point {p!r}: need three positive integers")
     d = tuple(max(p[f] for p in point_set) for f in range(3))
     return compact(
@@ -297,16 +321,44 @@ def relabel(X: VarietyOfLines, perm_a, perm_b, perm_c) -> VarietyOfLines:
                 f"family {FAMILY_NAMES[f - 1]}: {perm!r} is not a "
                 f"permutation of 1..{X.d[f - 1]}"
             )
-        perms[f] = perm
+        perms[f] = dict(enumerate(perm, start=1))
+    return _renumber(X, X.d, perms)
 
-    def apply(direction):
-        fam_p, fam_q = DIRECTION_FAMILIES[direction]
-        return frozenset(
-            (perms[fam_p][p - 1], perms[fam_q][q - 1])
-            for (p, q) in X.u(direction)
-        )
 
-    return VarietyOfLines(d=X.d, U3=apply(3), U2=apply(2), U1=apply(1))
+@lru_cache(maxsize=None)
+def family_permutation(order: tuple[int, int, int]) -> tuple:
+    """The map behind permute_families(X, order), as (pick, moves).
+
+    pick takes a per-family triple (d, a degree, a cell) to the new
+    family order; moves gives, for each new direction 3, 2, 1, the old
+    direction its lines come from and whether their pairs flip.
+    """
+    if sorted(order) != [1, 2, 3]:
+        raise BadPermutation(f"{order!r} is not an order of the families 1, 2, 3")
+    new_family = {old: new for new, old in enumerate(order, start=1)}
+    moves = {}
+    for direction, (fam_p, fam_q) in DIRECTION_FAMILIES.items():
+        p_new, q_new = new_family[fam_p], new_family[fam_q]
+        moves[6 - p_new - q_new] = direction, p_new > q_new
+    return itemgetter(*(f - 1 for f in order)), (moves[3], moves[2], moves[1])
+
+
+def permute_families(X: VarietyOfLines, order) -> VarietyOfLines:
+    """Rename the families: new family n is old family order[n-1].
+
+    Line directions follow their families, each pair re-oriented so that
+    its lower family comes first. The factors of P1xP1xP1 are
+    interchangeable: this keeps the ACM property and permutes the axes
+    of the Hilbert function the same way."""
+    order = tuple(order)
+    pick, moves = family_permutation(order)
+    if order == (1, 2, 3):
+        return X
+    U3, U2, U1 = (
+        frozenset((q, p) for p, q in X.u(old)) if flip else X.u(old)
+        for old, flip in moves
+    )
+    return VarietyOfLines(d=pick(X.d), U3=U3, U2=U2, U1=U1)
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +377,10 @@ def render(X: VarietyOfLines, direction: int) -> str:
 
 
 def variety_to_dict(X: VarietyOfLines) -> dict:
-    return {
-        "d": list(X.d),
-        "U3": [list(p) for p in sorted(X.U3)],
-        "U2": [list(p) for p in sorted(X.U2)],
-        "U1": [list(p) for p in sorted(X.U1)],
-    }
+    out = {"d": list(X.d)}
+    for h in (3, 2, 1):
+        out[f"U{h}"] = [list(p) for p in sorted(X.u(h))]
+    return out
 
 
 def variety_to_json(X: VarietyOfLines) -> str:
@@ -339,10 +389,6 @@ def variety_to_json(X: VarietyOfLines) -> str:
 
 def variety_from_json(text: str, strict: bool = False) -> VarietyOfLines:
     return validate(json.loads(text), strict=strict)
-
-
-def points_to_dict(points) -> dict:
-    return {"points": [list(p) for p in sorted(points)]}
 
 
 def points_from_json(text: str) -> set[tuple[int, int, int]]:
@@ -357,7 +403,7 @@ def points_from_json(text: str) -> set[tuple[int, int, int]]:
         if not (
             isinstance(p, list)
             and len(p) == 3
-            and all(isinstance(x, int) and x >= 1 for x in p)
+            and all(_is_int(x) and x >= 1 for x in p)
         ):
             raise OutOfBounds(f"bad point {p!r}: need three positive integers")
         out.add(tuple(p))

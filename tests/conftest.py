@@ -7,7 +7,7 @@ import pytest
 
 from acmlines import (
     CriteriaDisagreement,
-    compact,
+    all_varieties,
     is_acm,
     make_variety,
     reisner_cm,
@@ -104,22 +104,7 @@ def all_small_varieties():
 
     There are 2^12 line subsets; the empty one is dropped.
     """
-    cells3 = [(i, j) for i in range(1, 3) for j in range(1, 3)]
-    cells2 = [(i, k) for i in range(1, 3) for k in range(1, 3)]
-    cells1 = [(j, k) for j in range(1, 3) for k in range(1, 3)]
-    tagged = (
-        [(3, c) for c in cells3]
-        + [(2, c) for c in cells2]
-        + [(1, c) for c in cells1]
-    )
-    out = []
-    for bits in range(1, 4096):
-        chosen = [tagged[b] for b in range(12) if bits >> b & 1]
-        u3 = {c for h, c in chosen if h == 3}
-        u2 = {c for h, c in chosen if h == 2}
-        u1 = {c for h, c in chosen if h == 1}
-        out.append(compact(make_variety((2, 2, 2), u3, u2, u1)))
-    return out
+    return list(all_varieties())
 
 
 @pytest.fixture(scope="session")

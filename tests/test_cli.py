@@ -78,6 +78,50 @@ def test_check_out_of_bounds_exit_two(tmp_path, capsys):
     assert main(["check", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [1, 2, 3],
+        {"d": [1, 1, 1], "U3": None},
+        {"d": [1, 1, 1], "U3": [[True, True]]},
+    ],
+    ids=["top-level-list", "null-line-list", "boolean-indices"],
+)
+def test_check_malformed_variety_exit_two(tmp_path, capsys, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["check", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_hilbert_negative_box_exit_two(variety_file, capsys):
+    path = variety_file(FULL_BOX_432)
+    for method in ("corollary", "oracle"):
+        rc = main(["hilbert", path, "--box", "-1", "2", "2", "--method", method])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "box must be three non-negative integers" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--p", "0"], "line probability"),
+        (["--p", "1.5"], "line probability"),
+        (["--dmax", "0"], "dmax"),
+        (["--box", "3", "-1", "3"], "box"),
+        (["--trials", "-3"], "trials"),
+    ],
+)
+def test_hf_experiment_bad_parameters_exit_two(capsys, args, message):
+    rc = main(["hf-experiment", "--trials", "2", "--seed", "1", *args])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_ferrers_output(variety_file, capsys):
     rc = main(["ferrers", variety_file(FULL_BOX_432)])
     out = json.loads(capsys.readouterr().out)

@@ -7,6 +7,7 @@ import warnings
 import pytest
 
 from acmlines import (
+    BadParameter,
     BoxTooSmallWarning,
     EMPTY_VARIETY,
     EmptyVariety,
@@ -20,6 +21,7 @@ from acmlines import (
     is_acm,
     make_variety,
     reisner_cm,
+    run_hf_experiment,
     stanley_reisner_complex,
 )
 from acmlines.linalg import bareiss_rank
@@ -145,3 +147,36 @@ def test_face_ring_verdicts_on_goldens():
     for X, expected in cases:
         assert reisner_cm(stanley_reisner_complex(X)) is expected
         assert is_acm(X).acm is expected
+
+
+def test_out_of_range_parameters_raise_bad_parameter():
+    with pytest.raises(BadParameter):
+        hilbert_oracle(SINGLE_LINE, (-1, 2, 2))
+    with pytest.raises(BadParameter):
+        generator_degree_scan(SINGLE_LINE, (1, 1))
+    rng = random.Random(0)
+    for dmax, p in ((0, 0.4), (2, 0.0), (2, -0.1), (2, 1.5)):
+        with pytest.raises(BadParameter):
+            random_variety(rng, dmax, p)
+    with pytest.raises(BadParameter):
+        run_hf_experiment(trials=1, seed=1, p=0.0)
+    with pytest.raises(BadParameter):
+        run_hf_experiment(trials=1, seed=1, box=(1, 1, -1))
+    with pytest.raises(BadParameter):
+        random_variety(rng, True)
+
+
+def test_hf_experiment_checks_parameters_before_any_trial(tmp_path):
+    # checked on entry: also with no trials to run, and when fixed
+    # inputs cover every trial so that random_variety is never called
+    with pytest.raises(BadParameter):
+        run_hf_experiment(trials=0, p=0.0)
+    with pytest.raises(BadParameter):
+        run_hf_experiment(trials=0, dmax=True)
+    with pytest.raises(BadParameter):
+        run_hf_experiment(trials=-3, seed=1)
+    with pytest.raises(BadParameter):
+        run_hf_experiment(
+            trials=1, p=0.0, out_dir=tmp_path, fixed_inputs=(SINGLE_LINE,)
+        )
+    assert list(tmp_path.iterdir()) == []

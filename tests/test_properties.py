@@ -17,12 +17,15 @@ from acmlines import (
     generator_degree_scan,
     has_hyp_star,
     hilbert_function,
+    hilbert_difference,
     hilbert_oracle,
     is_acm,
     is_ferrers_variety,
     is_literal_ferrers,
     make_variety,
     minimal_generators,
+    multiplicity_tensor,
+    permute_families,
     relabel,
     remove_hyperplane,
     resembles_ferrers,
@@ -221,3 +224,46 @@ def test_ferrers_check_matches_permutation_search(X):
         if expected:
             break
     assert got == expected
+
+
+FAMILY_ORDERS = list(itertools.permutations((1, 2, 3)))
+
+
+def _then(sigma, tau):
+    """The order that permuting by sigma and then by tau amounts to."""
+    return tuple(sigma[t - 1] for t in tau)
+
+
+def _inverse(sigma):
+    return tuple(sigma.index(f) + 1 for f in (1, 2, 3))
+
+
+@given(varieties())
+@settings(max_examples=40, deadline=None)
+def test_family_permutations_are_symmetries(X):
+    box = (2, 1, 3)
+    verdict = is_acm(X)
+    H = hilbert_oracle(X, box)
+    M = multiplicity_tensor(X)
+    for sigma in FAMILY_ORDERS:
+        Y = permute_families(X, sigma)
+        assert permute_families(Y, _inverse(sigma)) == X
+        for tau in FAMILY_ORDERS:
+            assert permute_families(Y, tau) == permute_families(X, _then(sigma, tau))
+        v = is_acm(Y)
+        assert (v.acm, v.chordal, v.hyp, v.numeric) == (
+            verdict.acm, verdict.chordal, verdict.hyp, verdict.numeric
+        )
+        # new axis n is old axis sigma[n-1]
+        HY = hilbert_oracle(Y, tuple(box[f - 1] for f in sigma))
+        for t in itertools.product(*(range(b + 1) for b in box)):
+            i, j, k = (t[f - 1] for f in sigma)
+            assert HY[i][j][k] == H[t[0]][t[1]][t[2]]
+        assert multiplicity_tensor(Y) == M.permuted(sigma)
+
+
+@given(staircase_varieties())
+@settings(max_examples=30, deadline=None)
+def test_hilbert_difference_inverts_prefix_sum(X):
+    box = (3, 2, 3)
+    assert hilbert_difference(hilbert_function(X, box)) == delta_hilbert(X, box)

@@ -17,6 +17,7 @@ from acmlines import (
     direction_slice,
     grid_from_points,
     make_variety,
+    permute_families,
     points_from_json,
     relabel,
     remove_hyperplane,
@@ -154,6 +155,38 @@ def test_malformed_payload_raises_package_error():
         variety_from_json("{\"d\": [1, 1]}")
     with pytest.raises(ValueError):
         variety_from_json("not json at all")
+
+
+def test_validation_rejects_non_objects_nulls_and_booleans():
+    assert validation_errors([1, 2, 3]) == [
+        "a variety must be a JSON object, got list"
+    ]
+    assert validation_errors({"d": [1, 1, 1], "U3": None})[0].startswith(
+        "U3 must be a list of index pairs"
+    )
+    assert validation_errors({"d": [1, 1, 1], "U3": [[True, True]]})[0] == (
+        "U3: entry [True, True] is not an index pair"
+    )
+    assert validation_errors({"d": [True, 1, 1]})[0].startswith("d must be")
+    for text in ("[1, 2, 3]", '{"d": [1, 1, 1], "U3": null}',
+                 '{"d": [1, 1, 1], "U3": [[true, true]]}'):
+        with pytest.raises(OutOfBounds):
+            variety_from_json(text)
+    with pytest.raises(OutOfBounds):
+        points_from_json("[[true, 1, 1]]")
+
+
+def test_permute_families_moves_directions():
+    X = make_variety((1, 2, 3), u3={(1, 2)}, u2={(1, 3)}, u1={(2, 1)})
+    assert permute_families(X, (1, 2, 3)) is X
+    # new A = old C, new B = old A, new C = old B
+    Y = permute_families(X, (3, 1, 2))
+    assert Y.d == (3, 1, 2)
+    assert Y.U3 == {(3, 1)}  # old U2 line (A1, C3), flipped
+    assert Y.U2 == {(1, 2)}  # old U1 line (B2, C1), flipped
+    assert Y.U1 == {(1, 2)}  # old U3 line (A1, B2)
+    with pytest.raises(BadPermutation):
+        permute_families(X, (1, 1, 2))
 
 
 def test_grid_from_points_golden():
