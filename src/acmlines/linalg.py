@@ -1,59 +1,58 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Everything here is fraction-free or Fraction-based; no floating point.
+One elimination serves every rank and kernel: a fraction-free echelon
+form of sparse integer rows ({column: int} dicts), in the line of
+Bareiss (1968) but with gcd content normalisation instead of exact
+minor division. The pivot of a row is its smallest column; a row is
+reduced against the stored pivot row of that column as a*row - b*pivot
+(a and b the two leading entries over their gcd), and a row is stored,
+with its content divided out, once its leading column is new. No
+floating point and no fractions.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd
+
+
+def _echelon(rows) -> dict:
+    """Echelon form of sparse integer rows: {pivot column: primitive row},
+    each stored row having its pivot as its smallest column. The input
+    rows are not modified."""
+    pivots: dict = {}
+    for raw in rows:
+        row = {c: v for c, v in raw.items() if v}
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                g = gcd(*row.values())
+                pivots[c] = {k: v // g for k, v in row.items()}
+                break
+            g = gcd(row[c], pivot[c])
+            a, b = pivot[c] // g, row[c] // g
+            if a != 1:
+                row = {k: a * v for k, v in row.items()}
+            for k, v in pivot.items():
+                nv = row.get(k, 0) - b * v
+                if nv:
+                    row[k] = nv
+                else:
+                    del row[k]
+    return pivots
+
+
+def sparse_rank(rows) -> int:
+    """Rank of a collection of sparse vectors given as {column: value} dicts.
+
+    Columns may be any mutually comparable hashable keys.
+    """
+    return len(_echelon(rows))
 
 
 def bareiss_rank(rows) -> int:
-    """Rank of an integer matrix via fraction-free (Bareiss) elimination."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(m)):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        piv = m[rank][col]
-        prow = m[rank]
-        for r in range(rank + 1, len(m)):
-            row = m[r]
-            factor = row[col]
-            for c in range(col + 1, ncols):
-                # exact by the Bareiss minor identity
-                row[c] = (piv * row[c] - factor * prow[c]) // prev
-            row[col] = 0
-        prev = piv
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
-def lagrange_coeffs(n: int, a: int) -> list[Fraction]:
-    """Coefficients c_x with p(a) = sum_x c_x p(x) for deg p < n, nodes 1..n."""
-    out = []
-    for x in range(1, n + 1):
-        num = 1
-        den = 1
-        for y in range(1, n + 1):
-            if y != x:
-                num *= a - y
-                den *= x - y
-        out.append(Fraction(num, den))
-    return out
+    """Rank of an integer matrix given as a list of rows."""
+    return len(_echelon(dict(enumerate(r)) for r in rows))
 
 
 def extension_coeffs(n: int) -> list[int]:
@@ -65,78 +64,29 @@ def extension_coeffs(n: int) -> list[int]:
     return [(-1) ** (n - x) * comb(n, x - 1) for x in range(1, n + 1)]
 
 
-def scale_row_to_int(row) -> list[int]:
-    """Multiply a rational row by the lcm of denominators."""
-    denom = 1
-    for v in row:
-        denom = lcm(denom, Fraction(v).denominator)
-    return [int(Fraction(v) * denom) for v in row]
-
-
 def nullspace(rows, ncols: int) -> list[list[int]]:
-    """Basis of the right kernel of a matrix, as integer vectors.
+    """Basis of the right kernel of an integer matrix, as integer vectors.
 
-    ``rows`` may contain ints or Fractions; the basis is returned with
-    denominators cleared, one vector per free column (RREF convention).
+    One vector per free (non-pivot) column, in column order: the
+    primitive kernel vector that is positive at its free column and zero
+    at every other free column, found by back-substitution from the
+    echelon form. Each step scales the vector by no more than its new
+    entry needs, which keeps it primitive.
     """
-    m = [[Fraction(v) for v in r] for r in rows]
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][col]
-        m[r] = [v / inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivot_cols.append(col)
-        r += 1
+    pivots = _echelon(dict(enumerate(r)) for r in rows)
+    descending = sorted(pivots, reverse=True)
     basis = []
-    pivot_set = set(pivot_cols)
     for free in range(ncols):
-        if free in pivot_set:
+        if free in pivots:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row_idx, pc in enumerate(pivot_cols):
-            vec[pc] = -m[row_idx][free]
-        basis.append(scale_row_to_int(vec))
+        vec = {free: 1}
+        for p in descending:
+            row = pivots[p]
+            s = sum(v * vec[k] for k, v in row.items() if k in vec)
+            if s:
+                scale = abs(row[p]) // gcd(row[p], s)
+                if scale != 1:
+                    vec = {k: scale * v for k, v in vec.items()}
+                vec[p] = -s * scale // row[p]
+        basis.append([vec.get(c, 0) for c in range(ncols)])
     return basis
-
-
-def sparse_rank(rows) -> int:
-    """Rank of a collection of sparse vectors given as {column: value} dicts.
-
-    Columns may be any mutually comparable hashable keys. Exact
-    (Fraction) elimination with the smallest column as pivot.
-    """
-    pivots: dict = {}
-    rank = 0
-    for raw in rows:
-        row = {c: Fraction(v) for c, v in raw.items() if v}
-        while row:
-            c = min(row)
-            if c in pivots:
-                coef = row.pop(c)
-                for pc, pv in pivots[c].items():
-                    if pc == c:
-                        continue
-                    nv = row.get(pc, 0) - coef * pv
-                    if nv:
-                        row[pc] = nv
-                    else:
-                        row.pop(pc, None)
-            else:
-                inv = row[c]
-                pivots[c] = {k: v / inv for k, v in row.items()}
-                rank += 1
-                break
-    return rank

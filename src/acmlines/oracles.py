@@ -23,7 +23,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import combinations, product, zip_longest
-from math import prod
+from math import comb, prod
 from operator import itemgetter
 
 from .criteria import is_acm
@@ -33,9 +33,7 @@ from .graphs import build_graph
 from .linalg import (
     bareiss_rank,
     extension_coeffs,
-    lagrange_coeffs,
     nullspace,
-    scale_row_to_int,
     sparse_rank,
 )
 from .variety import (
@@ -101,13 +99,15 @@ def hilbert_oracle_naive(X: VarietyOfLines, box) -> list:
 # structured oracle
 # ---------------------------------------------------------------------------
 
-def _eval_row(node_count: int, node: int):
-    """Evaluation functional at an integer node, in value coordinates."""
-    if node <= node_count:
-        row = [0] * node_count
-        row[node - 1] = 1
-        return row
-    return lagrange_coeffs(node_count, node)
+def _eval_row(node_count: int, node: int) -> list[int]:
+    """Evaluation functional at an integer node, in value coordinates
+    (nodes 1..node_count), times (node_count - 1)!: the Lagrange
+    coefficients with their denominators cleared."""
+    return [
+        (-1) ** (node_count - x) * comb(node_count - 1, x - 1)
+        * prod(node - y for y in range(1, node_count + 1) if y != x)
+        for x in range(1, node_count + 1)
+    ]
 
 
 def _condition_rows(sizes, conditions) -> list[list[int]]:
@@ -128,7 +128,7 @@ def _condition_rows(sizes, conditions) -> list[list[int]]:
             for size, node in zip(sizes, nodes)
         ]
         for vectors in product(*factors):
-            rows.append(scale_row_to_int([prod(v) for v in product(*vectors)]))
+            rows.append([prod(v) for v in product(*vectors)])
     return rows
 
 
@@ -435,12 +435,12 @@ def _co_edge_homology_vanishes(W: tuple, edges: list) -> bool:
         lower_index = {f: n for n, f in enumerate(faces_by_size[size - 1])}
         matrix = []
         for tau in faces_by_size[size]:
-            row = [0] * len(lower_index)
+            row = {}
             for m in range(size):
                 sub = tau[:m] + tau[m + 1:]
                 row[lower_index[sub]] = (-1) ** m
             matrix.append(row)
-        rank_boundary[size] = bareiss_rank(matrix)
+        rank_boundary[size] = sparse_rank(matrix)
     rank_boundary[nw - 1] = 0
     for q in range(-1, dim_link):
         size = q + 1

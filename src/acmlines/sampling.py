@@ -44,24 +44,38 @@ def all_varieties():
         yield _variety(d, u)
 
 
+# Empty draws random_variety rejects before giving up on p.
+MAX_EMPTY_DRAWS = 1000
+
+
+def _check_dmax(dmax) -> None:
+    if not (_is_int(dmax) and dmax >= 1):
+        raise BadParameter(f"dmax must be a positive integer, got {dmax!r}")
+
+
 def check_sampling(dmax, p) -> None:
     """Raise BadParameter unless random_variety(rng, dmax, p) can draw:
     dmax a positive integer and p in (0, 1]."""
-    if not (_is_int(dmax) and dmax >= 1):
-        raise BadParameter(f"dmax must be a positive integer, got {dmax!r}")
+    _check_dmax(dmax)
     if not 0 < p <= 1:
         raise BadParameter(f"line probability must be in (0, 1], got {p!r}")
 
 
 def random_variety(rng, dmax: int, p: float = 0.4) -> VarietyOfLines:
     """Nonempty compacted variety: each candidate line kept with
-    probability p over a random box with sides up to dmax."""
+    probability p over a random box with sides up to dmax.
+
+    Raises BadParameter when MAX_EMPTY_DRAWS draws in a row keep no line.
+    """
     check_sampling(dmax, p)
-    while True:
+    for _ in range(MAX_EMPTY_DRAWS):
         d = (rng.randint(1, dmax), rng.randint(1, dmax), rng.randint(1, dmax))
         u = {h: {pair for pair in _pairs(d, h) if rng.random() < p} for h in (3, 2, 1)}
         if any(u.values()):
             return _variety(d, u)
+    raise BadParameter(
+        f"no line kept in {MAX_EMPTY_DRAWS} draws with line probability {p!r}"
+    )
 
 
 def random_partition(rng, max_rows: int, max_cols: int) -> tuple[int, ...]:
@@ -74,7 +88,9 @@ def random_partition(rng, max_rows: int, max_cols: int) -> tuple[int, ...]:
 
 
 def random_ferrers_variety(rng, dmax: int) -> VarietyOfLines:
-    """Nonempty compacted variety whose three diagrams are staircases."""
+    """Nonempty compacted variety whose three diagrams are staircases;
+    dmax must be a positive integer."""
+    _check_dmax(dmax)
     while True:
         parts = [random_partition(rng, dmax, dmax) for _ in range(3)]
         if any(parts):

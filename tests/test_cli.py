@@ -112,6 +112,7 @@ def test_hilbert_negative_box_exit_two(variety_file, capsys):
         (["--dmax", "0"], "dmax"),
         (["--box", "3", "-1", "3"], "box"),
         (["--trials", "-3"], "trials"),
+        (["--dmax", "1", "--p", "1e-300"], "no line kept"),
     ],
 )
 def test_hf_experiment_bad_parameters_exit_two(capsys, args, message):

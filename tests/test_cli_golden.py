@@ -50,9 +50,6 @@ VARIETY_COMMANDS = (
     "render {v}",
 )
 
-# The face-ring test on FIFTEEN_LINES (11 vertices) takes tens of seconds.
-SKIPPED = {("FIFTEEN_LINES", "check --oracle {v}")}
-
 POINT_SETS = {
     "points_pair.json": [[1, 1, 1], [2, 2, 1]],
     "points_spread.json": {"points": [[1, 1, 1], [2, 2, 2], [1, 2, 3], [3, 1, 2]]},
@@ -86,8 +83,7 @@ def transcript() -> str:
             path = tmp / f"{name}.json"
             path.write_text(variety_to_json(getattr(conftest, name)), encoding="utf-8")
             for template in VARIETY_COMMANDS:
-                if (name, template) not in SKIPPED:
-                    run(template.format(v=path.name))
+                run(template.format(v=path.name))
         for name, points in POINT_SETS.items():
             (tmp / name).write_text(json.dumps(points), encoding="utf-8")
         for command in OTHER_COMMANDS:

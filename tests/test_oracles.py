@@ -2,6 +2,7 @@
 face-ring Cohen-Macaulay test."""
 
 import random
+import time
 import warnings
 
 import pytest
@@ -26,7 +27,7 @@ from acmlines import (
 )
 from acmlines.linalg import bareiss_rank
 from acmlines.oracles import line_sample_points
-from acmlines.sampling import random_variety
+from acmlines.sampling import random_ferrers_variety, random_variety
 from conftest import (
     DIAGONAL_PAIR_PLUS_ONE,
     FULL_BOX_432,
@@ -164,6 +165,20 @@ def test_out_of_range_parameters_raise_bad_parameter():
         run_hf_experiment(trials=1, seed=1, box=(1, 1, -1))
     with pytest.raises(BadParameter):
         random_variety(rng, True)
+
+
+def test_random_ferrers_variety_rejects_bad_dmax():
+    # dmax 0 used to loop forever: every partition is empty
+    for dmax in (0, -1, True, 2.5):
+        with pytest.raises(BadParameter):
+            random_ferrers_variety(random.Random(0), dmax)
+
+
+def test_random_variety_gives_up_on_a_tiny_p():
+    started = time.monotonic()
+    with pytest.raises(BadParameter):
+        random_variety(random.Random(0), 1, 1e-300)
+    assert time.monotonic() - started < 1.0
 
 
 def test_hf_experiment_checks_parameters_before_any_trial(tmp_path):
