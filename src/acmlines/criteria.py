@@ -21,6 +21,7 @@ from .variety import (
     HyperplaneId,
     VarietyOfLines,
     family_permutation,
+    variety_to_json,
 )
 
 
@@ -103,89 +104,46 @@ _PATTERN_FAMILY_SEQS = {
     6: ((1, 1, 2, 2, 3, 3),),
 }
 
-_PAIR_DIRECTION = {(1, 2): 3, (1, 3): 2, (2, 3): 1}
-
-
-def _line_present(X: VarietyOfLines, fam_p, p, fam_q, q) -> bool:
-    if fam_p > fam_q:
-        fam_p, p, fam_q, q = fam_q, q, fam_p, p
-    return (p, q) in X.u(_PAIR_DIRECTION[(fam_p, fam_q)])
-
-
-def _pattern_constraints(fam_seq):
-    """(positions s,t, required presence) for all cross-family pairs.
-
-    Consecutive cross-family pairs must be absent lines (complement
-    edges of the cycle); non-consecutive pairs must be present lines
-    (complement non-edges).
-    """
-    n = len(fam_seq)
-    constraints = []
-    for s in range(n):
-        for t in range(s + 1, n):
-            if fam_seq[s] == fam_seq[t]:
-                continue
-            consecutive = (t - s == 1) or (s == 0 and t == n - 1)
-            constraints.append((s, t, not consecutive))
-    return constraints
-
 
 def _find_pattern(X: VarietyOfLines, fam_seq):
-    """First index assignment matching the pattern, or None."""
+    """First index assignment matching the pattern, or None.
+
+    Families are assigned in increasing order, each over the ordered
+    index tuples of its positions. Each cross-family pair of positions
+    s, t (s in the lower family) is checked once its later family is
+    assigned: consecutive positions need an absent line (a complement
+    edge of the cycle), the others a present line (a non-edge).
+    """
     n = len(fam_seq)
-    positions_by_family: dict[int, list[int]] = {}
-    for pos, fam in enumerate(fam_seq):
-        positions_by_family.setdefault(fam, []).append(pos)
-    families = sorted(positions_by_family)
-    constraints = _pattern_constraints(fam_seq)
-    # constraints checkable once the first m families are assigned
-    staged = []
-    assigned_pos: set[int] = set()
-    for fam in families:
-        assigned_pos.update(positions_by_family[fam])
-        stage = [
-            (s, t, req)
-            for (s, t, req) in constraints
-            if s in assigned_pos and t in assigned_pos
-        ]
-        staged.append(stage)
-        constraints = [c for c in constraints if c not in stage]
+    families = sorted(set(fam_seq))
+    positions = {f: [pos for pos in range(n) if fam_seq[pos] == f] for f in families}
+    checks: dict[int, list] = {f: [] for f in families}
+    for direction, (fam_s, fam_t) in DIRECTION_FAMILIES.items():
+        for s in positions.get(fam_s, ()):
+            for t in positions.get(fam_t, ()):
+                consecutive = abs(s - t) in (1, n - 1)
+                checks[fam_t].append((s, t, X.u(direction), not consecutive))
+    labels = [0] * n
 
-    choices = [
-        list(permutations(range(1, X.d[fam - 1] + 1), len(positions_by_family[fam])))
-        for fam in families
-    ]
-
-    def assign(level, labels):
+    def assign(level):
         if level == len(families):
             return tuple(
-                HyperplaneId(FAMILY_NAMES[fam_seq[pos] - 1], labels[pos])
-                for pos in range(n)
+                HyperplaneId(FAMILY_NAMES[f - 1], i) for f, i in zip(fam_seq, labels)
             )
         fam = families[level]
-        for combo in choices[level]:
-            new_labels = dict(labels)
-            for pos, idx in zip(positions_by_family[fam], combo):
-                new_labels[pos] = idx
-            ok = True
-            for s, t, required in staged[level]:
-                present = _line_present(
-                    X,
-                    fam_seq[s],
-                    new_labels[s],
-                    fam_seq[t],
-                    new_labels[t],
-                )
-                if present != required:
-                    ok = False
+        for combo in permutations(range(1, X.d[fam - 1] + 1), len(positions[fam])):
+            for pos, idx in zip(positions[fam], combo):
+                labels[pos] = idx
+            for s, t, lines, must_be_present in checks[fam]:
+                if ((labels[s], labels[t]) in lines) != must_be_present:
                     break
-            if ok:
-                result = assign(level + 1, new_labels)
+            else:
+                result = assign(level + 1)
                 if result is not None:
                     return result
         return None
 
-    return assign(0, {})
+    return assign(0)
 
 
 def has_hyp_star(X: VarietyOfLines, n: int):
@@ -368,8 +326,6 @@ class AcmVerdict:
                 "type": "chordless_cycle",
                 "vertices": [str(v) for v in self.cycle_witness],
             }
-        elif self.numeric_witness is not None:
-            witness = {"type": "multiplicity_pattern", **self.numeric_witness}
         return {
             "acm": self.acm,
             "routes": {
@@ -386,32 +342,26 @@ def is_acm(X: VarietyOfLines) -> AcmVerdict:
 
     Raises CriteriaDisagreement if any two routes (or the per-length
     pattern/numeric pair) differ; that would be an implementation bug,
-    not a property of the input.
+    not a property of the input; the message carries the variety's JSON
+    and each route's first witness.
     """
     chordal_ok, cycle = is_chordal(complement(build_graph(X)))
-    hyp = {}
-    hyp_witness = None
-    for n in (4, 5, 6):
-        ok, wit = has_hyp_star(X, n)
-        hyp[n] = ok
-        if not ok and hyp_witness is None:
-            hyp_witness = wit
     M = multiplicity_tensor(X)
-    numeric = {}
-    numeric_witness = None
+    hyp, numeric = {}, {}
+    hyp_witness = numeric_witness = None
     for n in (4, 5, 6):
-        ok, wit = _NUMERIC_CRITERIA[n](M)
-        numeric[n] = ok
-        if not ok and numeric_witness is None:
-            numeric_witness = wit
+        hyp[n], pattern = has_hyp_star(X, n)
+        numeric[n], condition = _NUMERIC_CRITERIA[n](M)
+        hyp_witness = hyp_witness or pattern
+        numeric_witness = numeric_witness or condition
     routes = (chordal_ok, all(hyp.values()), all(numeric.values()))
     if len(set(routes)) != 1 or any(hyp[n] != numeric[n] for n in (4, 5, 6)):
         raise CriteriaDisagreement(
-            f"routes disagree on {X}: chordal={chordal_ok} hyp={hyp} "
-            f"numeric={numeric}"
+            f"routes disagree on {variety_to_json(X)}: "
+            f"chordal={chordal_ok} cycle={_names(cycle)} "
+            f"hyp={hyp} pattern={_names(hyp_witness)} "
+            f"numeric={numeric} condition={numeric_witness}"
         )
-    if cycle is None and hyp_witness is not None:
-        cycle = hyp_witness
     return AcmVerdict(
         acm=chordal_ok,
         chordal=chordal_ok,
@@ -420,3 +370,8 @@ def is_acm(X: VarietyOfLines) -> AcmVerdict:
         cycle_witness=cycle,
         numeric_witness=numeric_witness,
     )
+
+
+def _names(cycle):
+    """A hyperplane cycle as its names, e.g. 'A1 B2 C1 B1', or None."""
+    return None if cycle is None else " ".join(map(str, cycle))

@@ -9,6 +9,7 @@ complement graph, where same-family vertex pairs are always adjacent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import SizeLimit
@@ -37,51 +38,48 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def ordinal(self) -> dict[HyperplaneId, int]:
+        """Position of each vertex in the vertex tuple."""
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def adj(self) -> dict[HyperplaneId, set[HyperplaneId]]:
+        """Neighbour set of each vertex."""
+        adj: dict[HyperplaneId, set[HyperplaneId]] = {v: set() for v in self.vertices}
+        for u, v in self.edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        return adj
+
     def has_edge(self, u: HyperplaneId, v: HyperplaneId) -> bool:
-        return (u, v) in self.edges or (v, u) in self.edges
-
-
-def _ordinals(G: Graph) -> dict[HyperplaneId, int]:
-    return {v: i for i, v in enumerate(G.vertices)}
-
-
-def _sorted_edge(u, v, ordinal):
-    return (u, v) if ordinal[u] < ordinal[v] else (v, u)
-
-
-def adjacency(G: Graph) -> dict[HyperplaneId, set[HyperplaneId]]:
-    adj: dict[HyperplaneId, set[HyperplaneId]] = {v: set() for v in G.vertices}
-    for u, v in G.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
+        return v in self.adj.get(u, ())
 
 
 def build_graph(X: VarietyOfLines) -> Graph:
-    """Incidence graph: vertices are hyperplanes, edges are lines."""
+    """Incidence graph: vertices are hyperplanes, edges are lines.
+
+    Vertices are family-major and DIRECTION_FAMILIES pairs ascend, so
+    each edge lists its earlier vertex first."""
     vertices = tuple(
         HyperplaneId(FAMILY_NAMES[f - 1], i)
         for f in (1, 2, 3)
         for i in range(1, X.d[f - 1] + 1)
     )
-    ordinal = {v: i for i, v in enumerate(vertices)}
     edges = set()
-    for direction in (3, 2, 1):
-        fam_p, fam_q = DIRECTION_FAMILIES[direction]
+    for direction, (fam_p, fam_q) in DIRECTION_FAMILIES.items():
         for p, q in X.u(direction):
             u = HyperplaneId(FAMILY_NAMES[fam_p - 1], p)
             v = HyperplaneId(FAMILY_NAMES[fam_q - 1], q)
-            edges.add(_sorted_edge(u, v, ordinal))
+            edges.add((u, v))
     return Graph(vertices=vertices, edges=frozenset(edges))
 
 
 def complement(G: Graph) -> Graph:
-    ordinal = _ordinals(G)
-    edges = set()
-    for u, v in combinations(G.vertices, 2):
-        if not G.has_edge(u, v):
-            edges.add(_sorted_edge(u, v, ordinal))
-    return Graph(vertices=G.vertices, edges=frozenset(edges))
+    edges = frozenset(
+        (u, v) for u, v in combinations(G.vertices, 2) if not G.has_edge(u, v)
+    )
+    return Graph(vertices=G.vertices, edges=edges)
 
 
 def is_induced_cycle(G: Graph, cycle) -> bool:
@@ -89,11 +87,10 @@ def is_induced_cycle(G: Graph, cycle) -> bool:
     n = len(cycle)
     if n < 4 or len(set(cycle)) != n:
         return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            consecutive = (j - i == 1) or (i == 0 and j == n - 1)
-            if G.has_edge(cycle[i], cycle[j]) != consecutive:
-                return False
+    for i, j in combinations(range(n), 2):
+        consecutive = j - i in (1, n - 1)
+        if G.has_edge(cycle[i], cycle[j]) != consecutive:
+            return False
     return True
 
 
@@ -112,15 +109,22 @@ def is_chordal(G: Graph):
 
     Returns (True, None) or (False, cycle) where the cycle is a
     chordless cycle of length >= 4, canonicalized.
+
+    Why the certificate always exists: in a maximum cardinality search
+    order, G is chordal iff every vertex's earlier neighbours are all
+    adjacent to the latest of them, u (Tarjan and Yannakakis 1984). When
+    this fails at v for a neighbour w, the search order joins u and w by
+    a path through earlier vertices outside N(v) (their 1985 addendum).
+    A shortest such path has no chord, v is adjacent only to its ends
+    and u, w are not adjacent, so with v it is a chordless cycle of
+    length >= 4.
     """
-    ordinal = _ordinals(G)
-    adj = adjacency(G)
-    n = len(G.vertices)
+    ordinal, adj = G.ordinal, G.adj
     weight = {v: 0 for v in G.vertices}
     unvisited = set(G.vertices)
     order: list[HyperplaneId] = []
     pos: dict[HyperplaneId, int] = {}
-    for step in range(n):
+    for step in range(len(G.vertices)):
         v = max(unvisited, key=lambda x: (weight[x], -ordinal[x]))
         unvisited.remove(v)
         pos[v] = step
@@ -134,52 +138,37 @@ def is_chordal(G: Graph):
             continue
         u = max(earlier, key=lambda x: pos[x])
         missing = [w for w in earlier if w != u and w not in adj[u]]
-        if not missing:
-            continue
-        w = min(missing, key=lambda x: ordinal[x])
-        cycle = _extract_cycle(G, adj, pos, ordinal, v, u, w, i)
-        if cycle is not None:
-            return False, cycle
-        # theory says a certificate path always exists; fall back to an
-        # exhaustive search just in case
-        for length in range(4, n + 1):
-            found = chordless_cycles(G, length)
-            if found:
-                return False, found[0]
-        raise AssertionError("chordality test failed but no cycle found")
+        if missing:
+            w = min(missing, key=lambda x: ordinal[x])
+            return False, _extract_cycle(G, pos, v, u, w)
     return True, None
 
 
-def _extract_cycle(G, adj, pos, ordinal, v, u, w, i):
+def _extract_cycle(G, pos, v, u, w):
     """Chordless cycle through v from a failed elimination check.
 
     u and w are earlier neighbors of v that are non-adjacent; a shortest
     u-w path avoiding N[v] among earlier vertices closes an induced
     cycle.
     """
-    allowed = {x for x in G.vertices if pos[x] < i}
-    allowed -= {x for x in adj[v] if x not in (u, w)}
-    if u not in allowed or w not in allowed:
-        return None
+    allowed = {x for x in G.vertices if pos[x] < pos[v] and x not in G.adj[v]}
+    allowed |= {u, w}
     parent = {u: None}
     frontier = [u]
     while frontier and w not in parent:
         nxt = []
         for x in frontier:
-            for y in sorted(adj[x] & allowed, key=lambda t: ordinal[t]):
+            for y in sorted(G.adj[x] & allowed, key=lambda t: G.ordinal[t]):
                 if y not in parent:
                     parent[y] = x
                     nxt.append(y)
         frontier = nxt
-    if w not in parent:
-        return None
     path = [w]
-    while path[-1] != u:
+    while parent.get(path[-1]) is not None:
         path.append(parent[path[-1]])
     path.reverse()
-    cycle = canonical_cycle([v] + path, ordinal)
-    if not is_induced_cycle(G, cycle):
-        return None
+    cycle = canonical_cycle([v] + path, G.ordinal)
+    assert is_induced_cycle(G, cycle), cycle
     return cycle
 
 
@@ -190,8 +179,7 @@ def chordless_cycles(G: Graph, max_len: int = 6) -> list[tuple]:
             f"cycle enumeration limited to {MAX_CYCLE_SEARCH_VERTICES} "
             f"vertices, got {G.vertex_count}"
         )
-    ordinal = _ordinals(G)
-    adj = adjacency(G)
+    ordinal, adj = G.ordinal, G.adj
     out = set()
     for size in range(4, max_len + 1):
         for subset in combinations(G.vertices, size):
@@ -222,7 +210,7 @@ def graph_to_dot(G: Graph, name: str = "G") -> str:
     lines = [f"graph {name} {{"]
     for v in G.vertices:
         lines.append(f'  "{v}";')
-    ordinal = _ordinals(G)
+    ordinal = G.ordinal
     for u, v in sorted(G.edges, key=lambda e: (ordinal[e[0]], ordinal[e[1]])):
         lines.append(f'  "{u}" -- "{v}";')
     lines.append("}")

@@ -322,15 +322,16 @@ def _kernel3(deg, X: VarietyOfLines, memo):
     ]
 
 
-def _multiplied_rows(g: dict, axis: int, node_count: int):
+def _multiplied_rows(g: dict, axis: int, coeffs: list[int]):
     """The two degree-one multiples of a value vector, extended along
     one factor from node_count to node_count+1 nodes.
 
     Multiplying by the factor's constant coordinate keeps the values;
     multiplying by the parameter coordinate scales each cell by its
-    node. Both need the polynomial extension value at the new node.
+    node. Both need the polynomial extension value at the new node,
+    coeffs = extension_coeffs(node_count), so node_count = len(coeffs).
     """
-    coeffs = extension_coeffs(node_count)
+    node_count = len(coeffs)
     groups: dict[tuple, dict[int, int]] = {}
     for cell, v in g.items():
         key = cell[:axis] + cell[axis + 1:]
@@ -379,8 +380,9 @@ def generator_degree_scan(X: VarietyOfLines, box) -> dict:
                 continue
             below = (t[0], t[1], t[2])
             below = below[:axis] + (t[axis] - 1,) + below[axis + 1:]
+            coeffs = extension_coeffs(t[axis])
             for g in kernels[below]:
-                grown_rows.extend(_multiplied_rows(g, axis, t[axis]))
+                grown_rows.extend(_multiplied_rows(g, axis, coeffs))
         grown = sparse_rank(grown_rows)
         assert grown <= dim_ideal
         count = dim_ideal - grown

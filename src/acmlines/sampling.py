@@ -47,15 +47,18 @@ def all_varieties():
 # Empty draws random_variety rejects before giving up on p.
 MAX_EMPTY_DRAWS = 1000
 
+# Largest box side the samplers draw; a draw costs O(dmax^2).
+MAX_DMAX = 16
+
 
 def _check_dmax(dmax) -> None:
-    if not (_is_int(dmax) and dmax >= 1):
-        raise BadParameter(f"dmax must be a positive integer, got {dmax!r}")
+    if not (_is_int(dmax) and 1 <= dmax <= MAX_DMAX):
+        raise BadParameter(f"dmax must be an integer in 1..{MAX_DMAX}, got {dmax!r}")
 
 
 def check_sampling(dmax, p) -> None:
     """Raise BadParameter unless random_variety(rng, dmax, p) can draw:
-    dmax a positive integer and p in (0, 1]."""
+    dmax an integer in 1..MAX_DMAX and p in (0, 1]."""
     _check_dmax(dmax)
     if not 0 < p <= 1:
         raise BadParameter(f"line probability must be in (0, 1], got {p!r}")
@@ -89,7 +92,7 @@ def random_partition(rng, max_rows: int, max_cols: int) -> tuple[int, ...]:
 
 def random_ferrers_variety(rng, dmax: int) -> VarietyOfLines:
     """Nonempty compacted variety whose three diagrams are staircases;
-    dmax must be a positive integer."""
+    dmax must be an integer in 1..MAX_DMAX."""
     _check_dmax(dmax)
     while True:
         parts = [random_partition(rng, dmax, dmax) for _ in range(3)]

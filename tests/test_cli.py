@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from acmlines import variety_to_json
+from acmlines import CriteriaDisagreement, criteria, is_acm, variety_to_json
 from acmlines.cli import build_parser, main
 from conftest import (
     CI_EXAMPLE,
@@ -42,6 +42,25 @@ def test_check_not_acm_exit_one_with_witness(variety_file, capsys):
     assert payload["acm"] is False
     assert payload["witness"]["type"] == "chordless_cycle"
     assert "chordless cycle in complement:" in out
+
+
+def test_check_disagreement_exit_three(variety_file, capsys, monkeypatch):
+    def stub(M):
+        return False, {"condition": "stub pattern"}
+
+    monkeypatch.setitem(criteria._NUMERIC_CRITERIA, 4, stub)
+    X = REPAIRED_TRIPLE_POINTS
+    with pytest.raises(CriteriaDisagreement) as info:
+        is_acm(X)
+    message = str(info.value)
+    assert variety_to_json(X) in message
+    assert "cycle=None" in message and "stub pattern" in message
+    rc = main(["check", variety_file(X)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("criteria disagreement: ")
+    assert variety_to_json(X) in captured.err
 
 
 def test_check_oracle_flag_agrees(variety_file, capsys):
@@ -113,6 +132,7 @@ def test_hilbert_negative_box_exit_two(variety_file, capsys):
         (["--box", "3", "-1", "3"], "box"),
         (["--trials", "-3"], "trials"),
         (["--dmax", "1", "--p", "1e-300"], "no line kept"),
+        (["--dmax", "17"], "dmax"),
     ],
 )
 def test_hf_experiment_bad_parameters_exit_two(capsys, args, message):

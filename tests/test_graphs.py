@@ -1,6 +1,10 @@
 """Incidence graph, complement, chordality, and cycle extraction."""
 
+import random
+from itertools import combinations
+
 from acmlines import (
+    all_varieties,
     build_graph,
     chordless_cycles,
     complement,
@@ -106,3 +110,30 @@ def test_witness_matches_verdict():
     assert not verdict.acm
     Gc = complement(build_graph(DIAGONAL_PAIR_PLUS_ONE))
     assert is_induced_cycle(Gc, verdict.cycle_witness)
+
+
+def _labelled_graphs(n):
+    pairs = list(combinations(range(n), 2))
+    for bits in range(1 << len(pairs)):
+        edges = frozenset(e for b, e in enumerate(pairs) if bits >> b & 1)
+        yield Graph(vertices=tuple(range(n)), edges=edges)
+
+
+def _random_graph(rng):
+    n, p = rng.randint(7, 11), rng.random()
+    edges = frozenset(e for e in combinations(range(n), 2) if rng.random() < p)
+    return Graph(vertices=tuple(range(n)), edges=edges)
+
+
+def test_chordality_certificate_matches_exhaustive_search():
+    # is_chordal asserts its certificate instead of searching; check it
+    # against the full chordless-cycle enumeration
+    rng = random.Random(11)
+    graphs = [G for n in range(1, 6) for G in _labelled_graphs(n)]
+    graphs += [complement(build_graph(X)) for X in all_varieties()]
+    graphs += [_random_graph(rng) for _ in range(300)]
+    for G in graphs:
+        ok, cycle = is_chordal(G)
+        cycles = chordless_cycles(G, max_len=G.vertex_count)
+        assert ok == (not cycles), G
+        assert ok or cycle in cycles, G

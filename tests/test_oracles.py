@@ -156,7 +156,7 @@ def test_out_of_range_parameters_raise_bad_parameter():
     with pytest.raises(BadParameter):
         generator_degree_scan(SINGLE_LINE, (1, 1))
     rng = random.Random(0)
-    for dmax, p in ((0, 0.4), (2, 0.0), (2, -0.1), (2, 1.5)):
+    for dmax, p in ((0, 0.4), (17, 0.4), (2, 0.0), (2, -0.1), (2, 1.5)):
         with pytest.raises(BadParameter):
             random_variety(rng, dmax, p)
     with pytest.raises(BadParameter):
@@ -169,7 +169,7 @@ def test_out_of_range_parameters_raise_bad_parameter():
 
 def test_random_ferrers_variety_rejects_bad_dmax():
     # dmax 0 used to loop forever: every partition is empty
-    for dmax in (0, -1, True, 2.5):
+    for dmax in (0, -1, True, 2.5, 17):
         with pytest.raises(BadParameter):
             random_ferrers_variety(random.Random(0), dmax)
 
