@@ -4,8 +4,9 @@
 Enumerates every subset of the 12 possible lines over a 2x2x2 box of
 hyperplanes, runs the chordality route, the hyperplane-subset route,
 and the numeric multiplicity route on each, and reports any variety
-where the routes disagree.  Optionally also compares against the
-face-ring depth oracle.
+where the routes disagree.  Every route 2 pattern (lengths 4, 5, 6) is
+also checked to be a chordless cycle of the complement graph.
+Optionally also compares against the face-ring depth oracle.
 """
 
 import argparse
@@ -15,7 +16,11 @@ import time
 from acmlines import (
     CriteriaDisagreement,
     all_varieties,
+    build_graph,
+    complement,
+    has_hyp_star,
     is_acm,
+    is_induced_cycle,
     reisner_cm,
     stanley_reisner_complex,
     variety_to_dict,
@@ -30,6 +35,7 @@ def main(argv=None):
 
     started = time.monotonic()
     total = acm = disagreements = oracle_splits = 0
+    witnesses = bad_witnesses = 0
     for X in all_varieties():
         total += 1
         try:
@@ -40,6 +46,14 @@ def main(argv=None):
             continue
         if verdict.acm:
             acm += 1
+        Gc = complement(build_graph(X))
+        for n in (4, 5, 6):
+            _, witness = has_hyp_star(X, n)
+            if witness is not None:
+                witnesses += 1
+                if not is_induced_cycle(Gc, witness):
+                    bad_witnesses += 1
+                    print("BAD PATTERN:", variety_to_dict(X), n, witness)
         if args.with_oracle:
             cm = reisner_cm(stanley_reisner_complex(X))
             if cm != verdict.acm:
@@ -49,9 +63,10 @@ def main(argv=None):
 
     elapsed = time.monotonic() - started
     print(f"checked {total} varieties in {elapsed:.1f}s: "
-          f"{acm} ACM, {disagreements} route disagreements"
+          f"{acm} ACM, {disagreements} route disagreements, "
+          f"{witnesses} patterns checked ({bad_witnesses} not chordless cycles)"
           + (f", {oracle_splits} oracle splits" if args.with_oracle else ""))
-    return 1 if disagreements or oracle_splits else 0
+    return 1 if disagreements or oracle_splits or bad_witnesses else 0
 
 
 if __name__ == "__main__":

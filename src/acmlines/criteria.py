@@ -11,7 +11,7 @@ disagreement raises, because it can only mean a bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, product
 
 from .errors import BadN, CriteriaDisagreement
 from .graphs import build_graph, complement, is_chordal, is_induced_cycle
@@ -108,37 +108,40 @@ _PATTERN_FAMILY_SEQS = {
 def _find_pattern(X: VarietyOfLines, fam_seq):
     """First index assignment matching the pattern, or None.
 
-    Families are assigned in increasing order, each over the ordered
-    index tuples of its positions. Each cross-family pair of positions
-    s, t (s in the lower family) is checked once its later family is
+    Positions are assigned one per step in (family, position) order,
+    each skipping its same-family predecessor's index. A cross-family
+    pair of positions s, t (s in the lower family) is checked once t is
     assigned: consecutive positions need an absent line (a complement
     edge of the cycle), the others a present line (a non-edge).
     """
     n = len(fam_seq)
-    families = sorted(set(fam_seq))
-    positions = {f: [pos for pos in range(n) if fam_seq[pos] == f] for f in families}
-    checks: dict[int, list] = {f: [] for f in families}
-    for direction, (fam_s, fam_t) in DIRECTION_FAMILIES.items():
-        for s in positions.get(fam_s, ()):
-            for t in positions.get(fam_t, ()):
-                consecutive = abs(s - t) in (1, n - 1)
-                checks[fam_t].append((s, t, X.u(direction), not consecutive))
-    labels = [0] * n
+    steps = sorted(range(n), key=lambda pos: (fam_seq[pos], pos))
+    checks: list[list] = [[] for _ in range(n)]
+    twins = [n] * n  # labels[n] stays 0: no index is taken before
+    for s, t in combinations(steps, 2):
+        f, g = fam_seq[s], fam_seq[t]
+        if f == g:
+            twins[t] = s
+        else:  # direction 6 - f - g holds the lines of families f < g
+            consecutive = abs(s - t) in (1, n - 1)
+            checks[t].append((s, X.u(6 - f - g), not consecutive))
+    labels = [0] * (n + 1)
 
-    def assign(level):
-        if level == len(families):
+    def assign(step):
+        if step == n:
             return tuple(
                 HyperplaneId(FAMILY_NAMES[f - 1], i) for f, i in zip(fam_seq, labels)
             )
-        fam = families[level]
-        for combo in permutations(range(1, X.d[fam - 1] + 1), len(positions[fam])):
-            for pos, idx in zip(positions[fam], combo):
-                labels[pos] = idx
-            for s, t, lines, must_be_present in checks[fam]:
-                if ((labels[s], labels[t]) in lines) != must_be_present:
+        pos = steps[step]
+        for idx in range(1, X.d[fam_seq[pos] - 1] + 1):
+            if idx == labels[twins[pos]]:
+                continue
+            labels[pos] = idx
+            for s, lines, must_be_present in checks[pos]:
+                if ((labels[s], idx) in lines) != must_be_present:
                     break
             else:
-                result = assign(level + 1)
+                result = assign(step + 1)
                 if result is not None:
                     return result
         return None
@@ -156,13 +159,9 @@ def has_hyp_star(X: VarietyOfLines, n: int):
     """
     if n < 4:
         raise BadN(f"cycle length must be at least 4, got {n}")
-    if n > 6:
-        return True, None
-    for fam_seq in _PATTERN_FAMILY_SEQS[n]:
+    for fam_seq in _PATTERN_FAMILY_SEQS.get(n, ()):
         witness = _find_pattern(X, fam_seq)
         if witness is not None:
-            Gc = complement(build_graph(X))
-            assert is_induced_cycle(Gc, witness), witness
             return False, witness
     return True, None
 
@@ -345,12 +344,14 @@ def is_acm(X: VarietyOfLines) -> AcmVerdict:
     not a property of the input; the message carries the variety's JSON
     and each route's first witness.
     """
-    chordal_ok, cycle = is_chordal(complement(build_graph(X)))
+    Gc = complement(build_graph(X))
+    chordal_ok, cycle = is_chordal(Gc)
     M = multiplicity_tensor(X)
     hyp, numeric = {}, {}
     hyp_witness = numeric_witness = None
     for n in (4, 5, 6):
         hyp[n], pattern = has_hyp_star(X, n)
+        assert pattern is None or is_induced_cycle(Gc, pattern), pattern
         numeric[n], condition = _NUMERIC_CRITERIA[n](M)
         hyp_witness = hyp_witness or pattern
         numeric_witness = numeric_witness or condition

@@ -21,6 +21,7 @@ from .variety import (
     FAMILY_NAMES,
     FRONT_ORDERS,
     VarietyOfLines,
+    box_table,
     check_box,
     compact,
     make_variety,
@@ -250,18 +251,11 @@ def minimal_generators(X: VarietyOfLines) -> GeneratorSet:
 
 def delta_hilbert(X: VarietyOfLines, box) -> list:
     """0/1 array over the box: 0 where some minimal degree divides."""
-    bi, bj, bk = check_box(box)
+    box = check_box(box)  # a bad box is reported before a non-Ferrers X
     minimal = degree_sets(X).minimal
-    return [
-        [
-            [
-                0 if any(_leq(m, (i, j, k)) for m in minimal) else 1
-                for k in range(bk + 1)
-            ]
-            for j in range(bj + 1)
-        ]
-        for i in range(bi + 1)
-    ]
+    return box_table(
+        box, lambda deg: 0 if any(_leq(m, deg) for m in minimal) else 1
+    )
 
 
 def hilbert_function(X: VarietyOfLines, box) -> list:

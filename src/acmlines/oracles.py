@@ -6,7 +6,10 @@ evaluation matrix that pairs monomials with sample points on the lines
 per line; hyperplane parameters are the integers 1, 2, 3, ...). A
 literal transcription of that matrix is kept as a slow reference; the
 fast path computes the same rank through the tensor structure of the
-point conditions, using only integer arithmetic.
+point conditions, using only integer arithmetic. It works on a view of
+the variety with its saturated factors first (f is saturated at deg when
+d_f <= deg_f + 1, so the value nodes include every hyperplane of f) and
+splits the problem along the first of them.
 
 The generator scan counts minimal ideal generators per multidegree as
 dim I_t minus the dimension spanned by degree-one multiples of lower
@@ -37,8 +40,8 @@ from .linalg import (
     sparse_rank,
 )
 from .variety import (
-    FRONT_ORDERS,
     VarietyOfLines,
+    box_table,
     check_box,
     family_permutation,
     permute_families,
@@ -88,11 +91,7 @@ def evaluation_matrix(X: VarietyOfLines, deg) -> list[list[int]]:
 
 def hilbert_oracle_naive(X: VarietyOfLines, box) -> list:
     """Hilbert function by literal evaluation-matrix ranks (slow)."""
-    bi, bj, bk = box
-    H = [[[0] * (bk + 1) for _ in range(bj + 1)] for _ in range(bi + 1)]
-    for i, j, k in _boxrange(box):
-        H[i][j][k] = bareiss_rank(evaluation_matrix(X, (i, j, k)))
-    return H
+    return box_table(box, lambda deg: bareiss_rank(evaluation_matrix(X, deg)))
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +160,9 @@ def _line_conditions(X: VarietyOfLines):
 
 
 def _fibres(j, rows, cols, points) -> dict[int, set[int]]:
-    """For a first side with at most j+1 indices: each node y in 1..j+1
-    outside rows, with the second-side nodes where its fibre must vanish
-    (the columns, and the points with first coordinate y)."""
+    """For a saturated first side (at most j+1 indices): each node y in
+    1..j+1 outside rows, with the second-side nodes where its fibre must
+    vanish (the columns, and the points with first coordinate y)."""
     fibres = {y: set(cols) for y in range(1, j + 2) if y not in rows}
     for b, c in points:
         if b in fibres:
@@ -171,40 +170,31 @@ def _fibres(j, rows, cols, points) -> dict[int, set[int]]:
     return fibres
 
 
-def _rank2(deg_pair, rows, cols, points, d_pair, memo) -> int:
+def _rank2(deg_pair, rows, cols, points, d2, memo) -> int:
     """dim of sum of row spaces v_r (x) Q, column spaces P (x) w_c and
     single tensors v_b (x) w_c inside P (x) Q.
 
-    P has deg_pair[0]+1 value coordinates and indices up to d_pair[0];
-    same for Q on the other side.
+    P has deg_pair[0]+1 value coordinates and indices up to d2; Q has
+    deg_pair[1]+1. The front view puts the saturated factors first, so
+    when P is not saturated neither is Q.
     """
     key = (
         deg_pair,
         frozenset(rows),
         frozenset(cols),
         frozenset(points),
-        d_pair,
+        d2,
     )
     if key in memo:
         return memo[key]
     j, k = deg_pair
-    d2, d3 = d_pair
     if d2 <= j + 1:
         fibres = _fibres(j, rows, cols, points)
         total = (j + 1 - len(fibres)) * (k + 1) + sum(
             min(len(s), k + 1) for s in fibres.values()
         )
-    elif d3 <= k + 1:
-        total = _rank2(
-            (k, j),
-            rows=cols,
-            cols=rows,
-            points=frozenset((c, b) for (b, c) in points),
-            d_pair=(d3, d2),
-            memo=memo,
-        )
     else:
-        # both sides deficient: small dense block
+        # neither side saturated: small dense block
         total = bareiss_rank(
             _condition_rows((j + 1, k + 1), _conditions2(rows, cols, points))
         )
@@ -213,27 +203,29 @@ def _rank2(deg_pair, rows, cols, points, d_pair, memo) -> int:
 
 
 def _front_view(deg, X: VarietyOfLines, memo):
-    """The problem at deg split along its first deficient factor f: with
-    d_f <= deg_f + 1 it is one two-factor problem per node x of f.
+    """The problem at deg split along a saturated factor f (d_f <=
+    deg_f + 1: the deg_f + 1 value nodes include every hyperplane of f),
+    as one two-factor problem per node x of f.
 
-    Returns None when every factor is deficient, else X permuted to put
-    f first (order FRONT_ORDERS[f]) and grouped once, in memo: the order,
-    its pick (family_permutation), the direction-3 rows and direction-2
-    columns of each front index (_row_sets, d_f long; the nodes past d_f
-    have none), the direction-1 lines as points, and the last two family
-    sizes."""
-    for f in (1, 2, 3):
-        if X.d[f - 1] <= deg[f - 1] + 1:
-            break
-    else:
+    Returns None when no factor is saturated, else X permuted to put the
+    saturated factors first (each group in ascending order) and grouped
+    once, in memo under the saturation pattern (a memo serves one
+    variety): the order, its pick (family_permutation), the direction-3
+    rows and direction-2 columns of each front index (_row_sets, d_f
+    long; the nodes past d_f have none), the direction-1 lines as
+    points, and the second family's size."""
+    i, j, k = deg
+    d1, d2, d3 = X.d
+    saturated = (d1 <= i + 1, d2 <= j + 1, d3 <= k + 1)
+    if not any(saturated):
         return None
-    key = ("front", f, X.d, X.U3, X.U2, X.U1)
+    key = ("front", saturated)
     view = memo.get(key)
     if view is None:
-        order = FRONT_ORDERS[f]
+        order = tuple(sorted((1, 2, 3), key=lambda f: not saturated[f - 1]))
         Y = permute_families(X, order)
         pick = family_permutation(order)[0]
-        view = order, pick, _row_sets(Y, 3), _row_sets(Y, 2), Y.U1, Y.d[1:]
+        view = order, pick, _row_sets(Y, 3), _row_sets(Y, 2), Y.U1, Y.d[1]
         memo[key] = view
     return view
 
@@ -241,43 +233,36 @@ def _front_view(deg, X: VarietyOfLines, memo):
 def _rank3(deg, X: VarietyOfLines, memo) -> int:
     view = _front_view(deg, X, memo)
     if view is None:
-        # every factor deficient: dense, but then all degrees are small
+        # no factor saturated: dense, but then all degrees are small
         sizes = tuple(t + 1 for t in deg)
         return bareiss_rank(_condition_rows(sizes, _line_conditions(X)))
-    _, pick, rows, cols, points, d_pair = view
+    _, pick, rows, cols, points, d2 = view
     i, j, k = pick(deg)
     return sum(
-        _rank2((j, k), r, c, points, d_pair, memo)
+        _rank2((j, k), r, c, points, d2, memo)
         for r, c, _ in zip_longest(rows, cols, range(i + 1), fillvalue=_NONE)
     )
 
 
-def hilbert_oracle_at(X: VarietyOfLines, deg, memo=None) -> int:
+def hilbert_oracle_at(X: VarietyOfLines, deg) -> int:
     """H(deg) as the evaluation-matrix rank, computed structurally."""
-    if memo is None:
-        memo = {}
-    return _rank3(tuple(deg), X, memo)
+    return _rank3(tuple(deg), X, {})
 
 
 def hilbert_oracle(X: VarietyOfLines, box) -> list:
     """Hilbert function table over the box (inclusive bounds)."""
     memo: dict = {}
-    bi, bj, bk = check_box(box)
-    H = [[[0] * (bk + 1) for _ in range(bj + 1)] for _ in range(bi + 1)]
-    for i, j, k in _boxrange(box):
-        H[i][j][k] = _rank3((i, j, k), X, memo)
-    return H
+    return box_table(box, lambda deg: _rank3(deg, X, memo))
 
 
 # ---------------------------------------------------------------------------
 # generator degree scan
 # ---------------------------------------------------------------------------
 
-def _kernel2(deg_pair, rows, cols, points, d_pair):
+def _kernel2(deg_pair, rows, cols, points, d2):
     """Basis of the joint kernel of the _rank2 conditions, as sparse
     {(y, z): value} dicts over value-grid cells (1-based)."""
     j, k = deg_pair
-    d2, d3 = d_pair
     if d2 <= j + 1:
         out = []
         for y, s in _fibres(j, rows, cols, points).items():
@@ -292,17 +277,7 @@ def _kernel2(deg_pair, rows, cols, points, d_pair):
                         {(y, z): v for z, v in enumerate(vec, start=1) if v}
                     )
         return out
-    if d3 <= k + 1:
-        swapped = _kernel2(
-            (k, j),
-            rows=cols,
-            cols=rows,
-            points=frozenset((c, b) for (b, c) in points),
-            d_pair=(d3, d2),
-        )
-        return [
-            {(y, z): v for (z, y), v in g.items()} for g in swapped
-        ]
+    # neither side saturated (see _rank2): small dense block
     return _dense_kernel((j + 1, k + 1), _conditions2(rows, cols, points))
 
 
@@ -311,14 +286,14 @@ def _kernel3(deg, X: VarietyOfLines, memo):
     view = _front_view(deg, X, memo)
     if view is None:
         return _dense_kernel(tuple(t + 1 for t in deg), _line_conditions(X))
-    order, pick, rows, cols, points, d_pair = view
+    order, pick, rows, cols, points, d2 = view
     i, j, k = pick(deg)
     # front-view cell -> cell in X's axis order
     unpermute = itemgetter(*(order.index(g) for g in (1, 2, 3)))
     return [
         {unpermute((x, y, z)): v for (y, z), v in g.items()}
         for r, c, x in zip_longest(rows, cols, range(1, i + 2), fillvalue=_NONE)
-        for g in _kernel2((j, k), r, c, points, d_pair)
+        for g in _kernel2((j, k), r, c, points, d2)
     ]
 
 

@@ -200,6 +200,16 @@ def check_box(box) -> tuple[int, int, int]:
     return box
 
 
+def box_table(box, value) -> list:
+    """The table T[i][j][k] = value((i, j, k)) over a degree box
+    (inclusive bounds, checked by check_box), filled in that order."""
+    bi, bj, bk = check_box(box)
+    return [
+        [[value((i, j, k)) for k in range(bk + 1)] for j in range(bj + 1)]
+        for i in range(bi + 1)
+    ]
+
+
 def validate(raw: Mapping, strict: bool = False) -> VarietyOfLines:
     """Check a raw input dict and return a normalized variety.
 

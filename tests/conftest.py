@@ -1,19 +1,27 @@
-"""Shared fixtures: the worked examples used across the suite and two
-session-scoped populations reused by several acceptance criteria."""
+"""Shared fixtures: the worked examples used across the suite, two
+session-scoped populations reused by several acceptance criteria, and a
+brute-force reference for route 2's witnesses."""
 
+import itertools
 import random
 
 import pytest
 
 from acmlines import (
     CriteriaDisagreement,
+    HyperplaneId,
     all_varieties,
+    build_graph,
+    complement,
     is_acm,
+    is_induced_cycle,
     make_variety,
     reisner_cm,
     stanley_reisner_complex,
 )
+from acmlines.criteria import _PATTERN_FAMILY_SEQS
 from acmlines.sampling import random_variety
+from acmlines.variety import FAMILY_NAMES
 
 # Fifteen lines; the A x B slice is a relabeled staircase of shape
 # (5, 4, 3, 1) but the B x C slice is a diagonal pair, so the variety
@@ -97,6 +105,43 @@ SKEW_CORNER = make_variety(
 CORNER = make_variety((1, 1, 1), u3={(1, 1)}, u2={(1, 1)}, u1={(1, 1)})
 
 SINGLE_LINE = make_variety((1, 1, 1), u3={(1, 1)})
+
+
+WORKED_EXAMPLES = (
+    FIFTEEN_LINES,
+    DIAGONAL_PAIR_PLUS_ONE,
+    FOUR_HYPERPLANE_EXAMPLE,
+    FIVE_HYPERPLANE_EXAMPLE,
+    TWO_TRIPLE_POINTS,
+    REPAIRED_TRIPLE_POINTS,
+    CI_EXAMPLE,
+    SKEW_CORNER,
+    CORNER,
+    SINGLE_LINE,
+)
+
+
+def first_pattern_by_product(X, n):
+    """Route 2's length-n witness found the slow way, or None.
+
+    For each family sequence of the pattern table in turn: the first
+    label tuple, in itertools.product order over the positions sorted by
+    (family, position), that is a chordless cycle of the complement
+    graph (so its same-family labels differ).
+    """
+    Gc = complement(build_graph(X))
+    for fam_seq in _PATTERN_FAMILY_SEQS[n]:
+        steps = sorted(range(n), key=lambda pos: (fam_seq[pos], pos))
+        ranges = [range(1, X.d[fam_seq[pos] - 1] + 1) for pos in steps]
+        for labels in itertools.product(*ranges):
+            at = dict(zip(steps, labels))
+            cycle = tuple(
+                HyperplaneId(FAMILY_NAMES[f - 1], at[pos])
+                for pos, f in enumerate(fam_seq)
+            )
+            if is_induced_cycle(Gc, cycle):
+                return cycle
+    return None
 
 
 def all_small_varieties():

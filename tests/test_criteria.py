@@ -20,6 +20,8 @@ from conftest import (
     FOUR_HYPERPLANE_EXAMPLE,
     REPAIRED_TRIPLE_POINTS,
     TWO_TRIPLE_POINTS,
+    WORKED_EXAMPLES,
+    first_pattern_by_product,
 )
 
 
@@ -90,6 +92,13 @@ def test_large_n_is_vacuous():
     for X in (TWO_TRIPLE_POINTS, DIAGONAL_PAIR_PLUS_ONE):
         for n in (7, 8, 9, 12):
             assert has_hyp_star(X, n) == (True, None)
+
+
+@pytest.mark.parametrize("X", WORKED_EXAMPLES)
+def test_pattern_witnesses_match_product_search(X):
+    for n in (4, 5, 6):
+        witness = first_pattern_by_product(X, n)
+        assert has_hyp_star(X, n) == (witness is None, witness)
 
 
 def test_bad_n_below_four():

@@ -151,8 +151,11 @@ def test_face_ring_verdicts_on_goldens():
 
 
 def test_out_of_range_parameters_raise_bad_parameter():
-    with pytest.raises(BadParameter):
-        hilbert_oracle(SINGLE_LINE, (-1, 2, 2))
+    for box in ((-1, 2, 2), (1, 1), (True, 1, 1)):
+        with pytest.raises(BadParameter):
+            hilbert_oracle(SINGLE_LINE, box)
+        with pytest.raises(BadParameter):
+            hilbert_oracle_naive(SINGLE_LINE, box)
     with pytest.raises(BadParameter):
         generator_degree_scan(SINGLE_LINE, (1, 1))
     rng = random.Random(0)

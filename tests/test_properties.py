@@ -3,6 +3,7 @@ route agreement, heredity, slice necessity, oracle agreement, and
 normalization round-trips."""
 
 import itertools
+import random
 import warnings
 
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,8 @@ from acmlines import (
     variety_from_json,
     variety_to_json,
 )
+from acmlines.sampling import random_variety
+from conftest import first_pattern_by_product
 
 
 @st.composite
@@ -86,6 +89,14 @@ def test_three_routes_agree(X):
 
 @given(varieties())
 @settings(max_examples=60, deadline=None)
+def test_pattern_witnesses_match_product_search(X):
+    for n in (4, 5, 6):
+        witness = first_pattern_by_product(X, n)
+        assert has_hyp_star(X, n) == (witness is None, witness)
+
+
+@given(varieties())
+@settings(max_examples=60, deadline=None)
 def test_large_n_vacuous(X):
     assert has_hyp_star(X, 7) == (True, None)
     assert has_hyp_star(X, 10) == (True, None)
@@ -124,7 +135,7 @@ def test_verdict_agrees_under_relabeling(X):
     assert is_ferrers_variety(Y).ok == is_ferrers_variety(X).ok
 
 
-@given(varieties(dmax=2))
+@given(varieties())
 @settings(max_examples=30, deadline=None)
 def test_oracle_equals_naive_rank(X):
     from acmlines import hilbert_oracle_naive
@@ -260,6 +271,23 @@ def test_family_permutations_are_symmetries(X):
             i, j, k = (t[f - 1] for f in sigma)
             assert HY[i][j][k] == H[t[0]][t[1]][t[2]]
         assert multiplicity_tensor(Y) == M.permuted(sigma)
+
+
+def test_generator_scan_permutes_with_families():
+    # non-ACM inputs, off staircases: the kernels of every front order
+    rng = random.Random(31)
+    box = (2, 2, 2)
+    checked = 0
+    while checked < 12:
+        X = random_variety(rng, 3, 0.5)
+        if is_acm(X).acm:
+            continue
+        checked += 1
+        scan = generator_degree_scan(X, box)
+        for sigma in FAMILY_ORDERS:
+            # new axis n is old axis sigma[n-1]
+            expected = {tuple(t[f - 1] for f in sigma): c for t, c in scan.items()}
+            assert generator_degree_scan(permute_families(X, sigma), box) == expected
 
 
 @given(staircase_varieties())
