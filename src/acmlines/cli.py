@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from .criteria import is_acm
 from .errors import AcmLinesError, CriteriaDisagreement
@@ -231,17 +232,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warn_one_line(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except CriteriaDisagreement as exc:
-        print(f"criteria disagreement: {exc}", file=sys.stderr)
-        return 3
-    except (AcmLinesError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _warn_one_line
+        try:
+            return args.func(args)
+        except CriteriaDisagreement as exc:
+            print(f"criteria disagreement: {exc}", file=sys.stderr)
+            return 3
+        except (AcmLinesError, OSError, json.JSONDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

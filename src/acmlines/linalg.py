@@ -15,10 +15,15 @@ from __future__ import annotations
 from math import comb, gcd
 
 
-def _echelon(rows) -> dict:
+def _echelon(rows, limit=None) -> dict:
     """Echelon form of sparse integer rows: {pivot column: primitive row},
     each stored row having its pivot as its smallest column. The input
-    rows are not modified."""
+    rows are not modified.
+
+    With a positive limit, returns as soon as it holds that many pivots
+    (the rows after that are not read), so the pivot count is
+    min(rank, limit).
+    """
     pivots: dict = {}
     for raw in rows:
         row = {c: v for c, v in raw.items() if v}
@@ -28,6 +33,8 @@ def _echelon(rows) -> dict:
             if pivot is None:
                 g = gcd(*row.values())
                 pivots[c] = {k: v // g for k, v in row.items()}
+                if len(pivots) == limit:
+                    return pivots
                 break
             g = gcd(row[c], pivot[c])
             a, b = pivot[c] // g, row[c] // g
@@ -42,12 +49,14 @@ def _echelon(rows) -> dict:
     return pivots
 
 
-def sparse_rank(rows) -> int:
+def sparse_rank(rows, limit=None) -> int:
     """Rank of a collection of sparse vectors given as {column: value} dicts.
 
-    Columns may be any mutually comparable hashable keys.
+    Columns may be any mutually comparable hashable keys. With a positive
+    limit, returns min(rank, limit) and stops eliminating once it is
+    reached.
     """
-    return len(_echelon(rows))
+    return len(_echelon(rows, limit))
 
 
 def bareiss_rank(rows) -> int:

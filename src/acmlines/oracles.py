@@ -13,7 +13,12 @@ splits the problem along the first of them.
 
 The generator scan counts minimal ideal generators per multidegree as
 dim I_t minus the dimension spanned by degree-one multiples of lower
-pieces, all in interpolation (value) coordinates.
+pieces, all in interpolation (value) coordinates. That span lies inside
+I_t, so its elimination stops once the rank reaches dim I_t. Along an
+axis that is saturated one step below, every kernel vector sits on one
+node x, and its two multiples span the same space as the vector and its
+copy at the new node (the 2x2 determinant is c_x (t_a + 1 - x), with
+c_x the nonzero extension coefficient), so those copies are the rows.
 
 The face-ring route builds the vertex-decomposed simplicial complex
 whose facets are the vertex complements of the incidence-graph edges
@@ -321,13 +326,50 @@ def _multiplied_rows(g: dict, axis: int, coeffs: list[int]):
     return row0, row1
 
 
+def _grown_rows(t, kernels, d) -> list[dict]:
+    """Rows spanning the degree-one multiples at t of the kernel bases
+    one step below (kernels[t - e_a] for each axis a with t_a > 0), two
+    rows per kernel vector and axis.
+
+    An axis a with d_a <= t_a is saturated at t - e_a, where every
+    _kernel3 vector g sits on a single node x of a. Its two multiples are
+    g + c_x g' and x g + (t_a + 1) c_x g', with g' the copy of g at the
+    new node t_a + 1 and c_x = extension_coeffs(t_a)[x - 1] != 0; their
+    determinant c_x (t_a + 1 - x) is nonzero, so the pair spans exactly
+    {g, g'}, and those two are the rows. Other axes use _multiplied_rows.
+    """
+    rows: list[dict] = []
+    for axis in range(3):
+        if t[axis] == 0:
+            continue
+        below = kernels[t[:axis] + (t[axis] - 1,) + t[axis + 1:]]
+        if d[axis] <= t[axis]:
+            new = t[axis] + 1
+            for g in below:
+                rows.append(g)
+                rows.append(
+                    {c[:axis] + (new,) + c[axis + 1:]: v for c, v in g.items()}
+                )
+        else:
+            coeffs = extension_coeffs(t[axis])
+            for g in below:
+                rows.extend(_multiplied_rows(g, axis, coeffs))
+    return rows
+
+
 def generator_degree_scan(X: VarietyOfLines, box) -> dict:
     """Multidegrees (and counts) of minimal ideal generators in the box.
 
     For each multidegree t, computes dim I_t minus the span of the six
-    degree-one multiples of the kernels one step below; positive
-    differences are minimal generators. Warns when the box provably
-    cuts off generators of an ACM variety.
+    degree-one multiples of the kernels one step below (_grown_rows);
+    positive differences are minimal generators. That span lies inside
+    I_t, so the elimination stops as soon as its rank reaches dim I_t:
+    past that point no row can change the count. Along an axis a with
+    d_a <= t_a, each kernel vector below sits on one node x of a, and
+    its two multiples are replaced by the vector and its copy at the new
+    node t_a + 1, which span the same plane (determinant c_x (t_a + 1 -
+    x) != 0, c_x the extension coefficient of node x). Warns when the
+    box provably cuts off generators of an ACM variety.
     """
     box = check_box(box)
     if not X.is_empty and is_acm(X).acm:
@@ -349,17 +391,7 @@ def generator_degree_scan(X: VarietyOfLines, box) -> dict:
         assert len(kernels[t]) == dim_ideal
         if dim_ideal == 0:
             continue
-        grown_rows = []
-        for axis in range(3):
-            if t[axis] == 0:
-                continue
-            below = (t[0], t[1], t[2])
-            below = below[:axis] + (t[axis] - 1,) + below[axis + 1:]
-            coeffs = extension_coeffs(t[axis])
-            for g in kernels[below]:
-                grown_rows.extend(_multiplied_rows(g, axis, coeffs))
-        grown = sparse_rank(grown_rows)
-        assert grown <= dim_ideal
+        grown = sparse_rank(_grown_rows(t, kernels, X.d), dim_ideal)
         count = dim_ideal - grown
         if count:
             found[t] = count

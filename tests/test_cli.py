@@ -97,6 +97,21 @@ def test_check_out_of_bounds_exit_two(tmp_path, capsys):
     assert main(["check", str(bad)]) == 2
 
 
+def test_check_warns_on_one_line(tmp_path, capsys):
+    padded = tmp_path / "padded.json"
+    padded.write_text(
+        json.dumps({"d": [3, 1, 1], "U3": [[1, 1]], "U2": [], "U1": []}),
+        encoding="utf-8",
+    )
+    assert main(["check", str(padded)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "warning: unused hyperplane A2; unused hyperplane A3; "
+        "unused hyperplane C1 (compacting)"
+    ]
+    assert json.loads(captured.out.splitlines()[0])["acm"] is True
+
+
 @pytest.mark.parametrize(
     "payload",
     [

@@ -2,6 +2,7 @@
 matrices, checked against properties that do not depend on how the
 elimination runs."""
 
+import copy
 from math import gcd
 
 from hypothesis import given, settings, strategies as st
@@ -63,6 +64,33 @@ def test_sparse_rank_ignores_column_labels(matrix, data):
     perm = data.draw(st.permutations(range(ncols)))
     sparse = [{perm[c]: v for c, v in enumerate(row)} for row in rows]
     assert sparse_rank(sparse) == bareiss_rank(rows)
+
+
+@given(matrices(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_sparse_rank_limit_caps_the_rank(matrix, data):
+    rows, ncols = matrix
+    perm = data.draw(st.permutations(range(ncols)))
+    sparse = [{perm[c]: v for c, v in enumerate(row)} for row in rows]
+    before = copy.deepcopy(sparse)
+    rank = sparse_rank(sparse)
+    assert sparse_rank(sparse, None) == rank == bareiss_rank(rows)
+    for limit in range(1, len(rows) + 2):
+        assert sparse_rank(sparse, limit) == min(rank, limit)
+    assert sparse == before
+
+
+def test_sparse_rank_reads_no_row_past_the_limit():
+    rows = [{0: 1}, {0: 2}, {1: 1}, {2: 1}]
+    read = []
+
+    def tracked():
+        for row in rows:
+            read.append(row)
+            yield row
+
+    assert sparse_rank(tracked(), 2) == 2
+    assert read == rows[:3]
 
 
 def test_back_substitution_through_non_unit_pivots():

@@ -25,8 +25,15 @@ from acmlines import (
     run_hf_experiment,
     stanley_reisner_complex,
 )
-from acmlines.linalg import bareiss_rank
-from acmlines.oracles import line_sample_points
+from acmlines.linalg import bareiss_rank, extension_coeffs, sparse_rank
+from acmlines.oracles import (
+    _boxrange,
+    _grown_rows,
+    _kernel3,
+    _multiplied_rows,
+    _rank3,
+    line_sample_points,
+)
 from acmlines.sampling import random_ferrers_variety, random_variety
 from conftest import (
     DIAGONAL_PAIR_PLUS_ONE,
@@ -102,6 +109,48 @@ def test_scan_matches_staircase_degrees():
         scan = generator_degree_scan(FULL_BOX_432, (5, 4, 3))
     found = {deg: n for deg, n in scan.items() if n}
     assert found == {deg: 1 for deg in ds.minimal}
+
+
+def _multiplied_reference(t, kernels):
+    """Both degree-one multiples of every kernel vector one step below t,
+    along every axis, as the scan built them before the copy rule."""
+    rows = []
+    for axis in range(3):
+        if t[axis]:
+            below = t[:axis] + (t[axis] - 1,) + t[axis + 1:]
+            coeffs = extension_coeffs(t[axis])
+            for g in kernels[below]:
+                rows.extend(_multiplied_rows(g, axis, coeffs))
+    return rows
+
+
+def test_grown_span_lies_in_the_ideal_and_matches_the_multiples():
+    # The scan stops eliminating at dim I_t, which makes the bound
+    # "grown span <= dim I_t" vacuous there; it is checked here instead,
+    # with unlimited ranks, together with the copy rule's claim that the
+    # copied rows span what the multiplied rows span.
+    rng = random.Random(83)
+    inputs = [(random_ferrers_variety(rng, 3), (4, 4, 4)) for _ in range(5)]
+    rng = random.Random(11)
+    while len(inputs) < 25:
+        X = random_variety(rng, 4, 0.4)
+        if not is_acm(X).acm:
+            inputs.append((X, (3, 3, 3)))
+    for X, box in inputs:
+        memo, kernels = {}, {}
+        for t in _boxrange(box):
+            dim_ring = (t[0] + 1) * (t[1] + 1) * (t[2] + 1)
+            dim_ideal = dim_ring - _rank3(t, X, memo)
+            kernels[t] = _kernel3(t, X, memo) if dim_ideal else []
+            if not dim_ideal:
+                continue
+            copied = _grown_rows(t, kernels, X.d)
+            multiplied = _multiplied_reference(t, kernels)
+            grown = sparse_rank(copied)
+            assert grown <= dim_ideal, (X, t)
+            assert sparse_rank(multiplied) == grown, (X, t)
+            assert sparse_rank(copied + multiplied) == grown, (X, t)
+            assert sparse_rank(copied, dim_ideal) == min(grown, dim_ideal)
 
 
 def test_scan_empty_variety():

@@ -33,6 +33,7 @@ from acmlines import (
     variety_from_json,
     variety_to_json,
 )
+from acmlines.oracles import _boxrange, _kernel3
 from acmlines.sampling import random_variety
 from conftest import first_pattern_by_product
 
@@ -288,6 +289,24 @@ def test_generator_scan_permutes_with_families():
             # new axis n is old axis sigma[n-1]
             expected = {tuple(t[f - 1] for f in sigma): c for t, c in scan.items()}
             assert generator_degree_scan(permute_families(X, sigma), box) == expected
+
+
+@given(
+    varieties(dmax=4),
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernels_sit_on_one_node_of_each_saturated_axis(X, box):
+    # The scan's copy rule rests on this: at degree s, along an axis a
+    # with d_a <= s_a + 1, every kernel vector has a single a-coordinate.
+    for sigma in FAMILY_ORDERS:
+        Y = permute_families(X, sigma)
+        memo = {}
+        for s in _boxrange(box):
+            saturated = [a for a in range(3) if Y.d[a] <= s[a] + 1]
+            for g in _kernel3(s, Y, memo):
+                for a in saturated:
+                    assert len({cell[a] for cell in g}) == 1, (Y, s, a)
 
 
 @given(staircase_varieties())
