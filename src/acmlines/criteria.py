@@ -11,7 +11,8 @@ disagreement raises, because it can only mean a bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import cached_property
+from itertools import combinations, compress
 
 from .errors import BadN, CriteriaDisagreement
 from .graphs import build_graph, complement, is_chordal, is_induced_cycle
@@ -49,6 +50,25 @@ class MultiplicityTensor:
     def slice_matrix(self, direction: int) -> tuple[tuple[int, ...], ...]:
         return (self.m1, self.m2, self.m3)[direction - 1]
 
+    @cached_property
+    def masks(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Each slice matrix as bitmasks, by direction: (rows, cols).
+
+        rows[p - 1] has bit q - 1 set when entry (p, q) is 1, and
+        cols[q - 1] has bit p - 1 set; the columns are the rows of the
+        transposed matrix.
+        """
+        bits = [1 << n for n in range(max(self.d, default=0))]
+        masks = {}
+        for direction, (_, fam_q) in DIRECTION_FAMILIES.items():
+            m = self.slice_matrix(direction)
+            columns = zip(*m) if m else ((),) * self.d[fam_q - 1]
+            masks[direction] = (
+                tuple([sum(compress(bits, row)) for row in m]),
+                tuple([sum(compress(bits, col)) for col in columns]),
+            )
+        return masks
+
     def permuted(self, order) -> MultiplicityTensor:
         """The tensor of permute_families(X, order): each slice matrix
         moves to its new direction, transposed where its pair flips."""
@@ -80,6 +100,23 @@ def multiplicity_tensor(X: VarietyOfLines) -> MultiplicityTensor:
 
 
 # ---------------------------------------------------------------------------
+# bitmasks
+# ---------------------------------------------------------------------------
+
+def _first(mask: int) -> int:
+    """The 1-based index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length()
+
+
+def _indices(mask: int):
+    """The 1-based indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length()
+        mask ^= low
+
+
+# ---------------------------------------------------------------------------
 # route 2: cyclic hyperplane patterns
 # ---------------------------------------------------------------------------
 
@@ -105,14 +142,29 @@ _PATTERN_FAMILY_SEQS = {
 }
 
 
-def _find_pattern(X: VarietyOfLines, fam_seq):
+def _line_rows(X: VarietyOfLines) -> dict[int, list[int]]:
+    """Each direction's lines as bit rows: rows[direction][p] has bit
+    q - 1 set when (p, q) is a line (index 0 is unused)."""
+    line_rows = {}
+    for direction, (fam_p, _) in DIRECTION_FAMILIES.items():
+        rows = [0] * (X.d[fam_p - 1] + 1)
+        for p, q in X.u(direction):
+            rows[p] |= 1 << (q - 1)
+        line_rows[direction] = rows
+    return line_rows
+
+
+def _find_pattern(d, line_rows, fam_seq):
     """First index assignment matching the pattern, or None.
 
     Positions are assigned one per step in (family, position) order,
     each skipping its same-family predecessor's index. A cross-family
     pair of positions s, t (s in the lower family) is checked once t is
     assigned: consecutive positions need an absent line (a complement
-    edge of the cycle), the others a present line (a non-edge).
+    edge of the cycle), the others a present line (a non-edge). So the
+    candidates of t are one mask, the AND of the line row of each
+    checked label (or its complement) without the predecessor's bit,
+    tried in ascending order.
     """
     n = len(fam_seq)
     steps = sorted(range(n), key=lambda pos: (fam_seq[pos], pos))
@@ -124,7 +176,8 @@ def _find_pattern(X: VarietyOfLines, fam_seq):
             twins[t] = s
         else:  # direction 6 - f - g holds the lines of families f < g
             consecutive = abs(s - t) in (1, n - 1)
-            checks[t].append((s, X.u(6 - f - g), not consecutive))
+            checks[t].append((s, line_rows[6 - f - g], not consecutive))
+    full = [(1 << d[f - 1]) - 1 for f in fam_seq]
     labels = [0] * (n + 1)
 
     def assign(step):
@@ -133,17 +186,18 @@ def _find_pattern(X: VarietyOfLines, fam_seq):
                 HyperplaneId(FAMILY_NAMES[f - 1], i) for f, i in zip(fam_seq, labels)
             )
         pos = steps[step]
-        for idx in range(1, X.d[fam_seq[pos] - 1] + 1):
-            if idx == labels[twins[pos]]:
-                continue
-            labels[pos] = idx
-            for s, lines, must_be_present in checks[pos]:
-                if ((labels[s], idx) in lines) != must_be_present:
-                    break
-            else:
-                result = assign(step + 1)
-                if result is not None:
-                    return result
+        # the twin's bit; label 0 (no twin yet) clears nothing
+        candidates = full[pos] & ~(1 << labels[twins[pos]] >> 1)
+        for s, rows, must_be_present in checks[pos]:
+            row = rows[labels[s]]
+            candidates &= row if must_be_present else ~row
+        while candidates:
+            low = candidates & -candidates
+            labels[pos] = low.bit_length()
+            result = assign(step + 1)
+            if result is not None:
+                return result
+            candidates ^= low
         return None
 
     return assign(0)
@@ -159,8 +213,9 @@ def has_hyp_star(X: VarietyOfLines, n: int):
     """
     if n < 4:
         raise BadN(f"cycle length must be at least 4, got {n}")
+    line_rows = _line_rows(X)
     for fam_seq in _PATTERN_FAMILY_SEQS.get(n, ()):
-        witness = _find_pattern(X, fam_seq)
+        witness = _find_pattern(X.d, line_rows, fam_seq)
         if witness is not None:
             return False, witness
     return True, None
@@ -169,25 +224,19 @@ def has_hyp_star(X: VarietyOfLines, n: int):
 # ---------------------------------------------------------------------------
 # route 3: numeric conditions on the multiplicity tensor
 # ---------------------------------------------------------------------------
+#
+# Each mu(i, j, k) == v test over k is a level mask: the set of k with
+# mu(i, j, k) = v. With x = m2[i] and y = m1[j], the rows over k, and
+# e = m3[i][j], mu = e + x_k + y_k, so level v needs v - e of the two
+# rows: none is ~(x | y), one is x ^ y, both is x & y. Each criterion
+# fixes its m3 entries first (its slice block), and then its inner loop
+# over k is the AND of the level masks it needs.
 
-def _ordered_pairs(size):
-    return [(p, q) for p in range(1, size + 1) for q in range(1, size + 1) if p != q]
-
-
-def _has_diagonal_pattern(matrix):
-    """A 2x2 submatrix equal to the identity pattern (1,0 / 0,1)."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    for r1, r2 in _ordered_pairs(nrows):
-        for c1 in range(1, ncols + 1):
-            if matrix[r1 - 1][c1 - 1] != 1 or matrix[r2 - 1][c1 - 1] != 0:
-                continue
-            for c2 in range(1, ncols + 1):
-                if c2 == c1:
-                    continue
-                if matrix[r1 - 1][c2 - 1] == 0 and matrix[r2 - 1][c2 - 1] == 1:
-                    return (r1, r2, c1, c2)
-    return None
+def _view(M: MultiplicityTensor, order):
+    """The bit rows of slice matrices 3, 2, 1 of M.permuted(order), read
+    off M.masks (a flipped pair reads the columns)."""
+    masks = M.masks
+    return [masks[old][flip] for old, flip in family_permutation(order)[1]]
 
 
 def _pattern_witness(order, condition, *indices) -> dict:
@@ -203,31 +252,42 @@ def _pattern_witness(order, condition, *indices) -> dict:
 def criterion_hyp4_numeric(M: MultiplicityTensor):
     """Numeric 4-pattern test on the multiplicity tensor.
 
-    Covers the mixed-family patterns through one tensor condition with
-    a doubled first family, run with each family first (A, then C, then
-    B), and the same-family patterns through the 2x2 diagonal-submatrix
-    scan of each slice matrix.
+    Covers the same-family patterns through the 2x2 diagonal-submatrix
+    scan of each slice matrix, and the mixed-family patterns through one
+    tensor condition with a doubled first family, run with each family
+    first (A, then C, then B).
+
+    Diagonal pattern: rows r1, r2 with m[r1][c1] = 1, m[r2][c1] = 0,
+    m[r1][c2] = 0, m[r2][c2] = 1, so c1 is the first index of
+    rows[r1] & ~rows[r2] and c2 of rows[r2] & ~rows[r1].
+
+    Tensor condition: b1 in m3[a1] & ~m3[a2], then mu(a1,b1,c) = 1 is
+    ~(m2[a1] | m1[b1]) and mu(a2,b1,c) = 1 is m2[a2] ^ m1[b1]; their
+    AND, the c-set, is m2[a2] & ~m2[a1] & ~m1[b1].
     """
     for direction in (3, 2, 1):
-        hit = _has_diagonal_pattern(M.slice_matrix(direction))
-        if hit:
-            return False, {
-                "condition": f"slice-{direction} diagonal 2x2 pattern",
-                "rows": hit[:2],
-                "cols": hit[2:],
-            }
+        rows = M.masks[direction][0]
+        for r1, row1 in enumerate(rows, 1):
+            for r2, row2 in enumerate(rows, 1):
+                if row1 & ~row2 and row2 & ~row1:  # so r1 != r2
+                    return False, {
+                        "condition": f"slice-{direction} diagonal 2x2 pattern",
+                        "rows": (r1, r2),
+                        "cols": (_first(row1 & ~row2), _first(row2 & ~row1)),
+                    }
     for order in ((1, 2, 3), (3, 1, 2), (2, 3, 1)):
-        P = M.permuted(order)
-        d1, d2, d3 = P.d
-        for a1, a2 in _ordered_pairs(d1):
-            for b1 in range(1, d2 + 1):
-                if P.m3[a1 - 1][b1 - 1] != 1 or P.m3[a2 - 1][b1 - 1] != 0:
+        r3, r2, r1 = _view(M, order)
+        for a1, (ab1, ac1) in enumerate(zip(r3, r2), 1):
+            for a2, (ab2, ac2) in enumerate(zip(r3, r2), 1):
+                cs = ac2 & ~ac1  # empty when a1 == a2
+                if not cs:
                     continue
-                for c1 in range(1, d3 + 1):
-                    if P.mu(a1, b1, c1) == 1 and P.mu(a2, b1, c1) == 1:
+                for b1 in _indices(ab1 & ~ab2):
+                    c = cs & ~r1[b1 - 1]
+                    if c:
                         return False, _pattern_witness(
                             order, "doubled-{} tensor pattern",
-                            (a1, a2), (b1,), (c1,),
+                            (a1, a2), (b1,), (_first(c),),
                         )
     return True, None
 
@@ -235,66 +295,76 @@ def criterion_hyp4_numeric(M: MultiplicityTensor):
 def criterion_hyp5_numeric(M: MultiplicityTensor):
     """Numeric 5-pattern test: a 2x2 multiplicity block ((2,1),(2,2))
     against a slice block ((1,1),(0,1)), in each of the three roles
-    (doubled A-B, then A-C, then B-C)."""
+    (doubled A-B, then A-C, then B-C).
 
-    def block_ok(m, r1, r2, s1, s2):
-        return (
-            m[r1 - 1][s1 - 1] == 1
-            and m[r1 - 1][s2 - 1] == 1
-            and m[r2 - 1][s1 - 1] == 0
-            and m[r2 - 1][s2 - 1] == 1
-        )
-
+    The slice block puts b1 in m3[a1] & ~m3[a2] and b2 in
+    m3[a1] & m3[a2]. Then mu(a1,b1,c) = 2 is m2[a1] ^ m1[b1],
+    mu(a1,b2,c) = 1 is ~(m2[a1] | m1[b2]), mu(a2,b1,c) = 2 is
+    m2[a2] & m1[b1] and mu(a2,b2,c) = 2 is m2[a2] ^ m1[b2]; their AND,
+    the c-set, is ~m2[a1] & m2[a2] & m1[b1] & ~m1[b2].
+    """
     for order in ((1, 2, 3), (1, 3, 2), (2, 3, 1)):
-        P = M.permuted(order)
-        d1, d2, d3 = P.d
-        for a1, a2 in _ordered_pairs(d1):
-            for b1, b2 in _ordered_pairs(d2):
-                if not block_ok(P.m3, a1, a2, b1, b2):
+        r3, r2, r1 = _view(M, order)
+        for a1, (ab1, ac1) in enumerate(zip(r3, r2), 1):
+            for a2, (ab2, ac2) in enumerate(zip(r3, r2), 1):
+                cs = ac2 & ~ac1  # empty when a1 == a2
+                if not cs:
                     continue
-                for c1 in range(1, d3 + 1):
-                    if (
-                        P.mu(a1, b1, c1) == 2
-                        and P.mu(a1, b2, c1) == 1
-                        and P.mu(a2, b1, c1) == 2
-                        and P.mu(a2, b2, c1) == 2
-                    ):
-                        return False, _pattern_witness(
-                            order, "doubled-{}-{} tensor pattern",
-                            (a1, a2), (b1, b2), (c1,),
-                        )
+                for b1 in _indices(ab1 & ~ab2):
+                    cs1 = cs & r1[b1 - 1]
+                    if not cs1:
+                        continue
+                    for b2 in _indices(ab1 & ab2):
+                        c = cs1 & ~r1[b2 - 1]
+                        if c:
+                            return False, _pattern_witness(
+                                order, "doubled-{}-{} tensor pattern",
+                                (a1, a2), (b1, b2), (_first(c),),
+                            )
     return True, None
 
 
 def criterion_hyp6_numeric(M: MultiplicityTensor):
     """Numeric 6-pattern test: two multiplicity-3 cells with disjoint
-    coordinates whose mixed 2x2x2 block is constant 2 elsewhere."""
-    d1, d2, d3 = M.d
-    triples = [
-        (i, j, k)
-        for i in range(1, d1 + 1)
-        for j in range(1, d2 + 1)
-        for k in range(1, d3 + 1)
-        if M.mu(i, j, k) == 3
+    coordinates whose mixed 2x2x2 block is constant 2 elsewhere.
+
+    Level 3 over k is m2[i] & m1[j] where m3[i][j] = 1 and empty
+    elsewhere. Both cells lie in level 3, so only pairs (a, b) with a
+    nonempty level 3 are walked. For the first cell (a1,b1,c1) and a
+    second pair a2, b2, bit c1 must lie in level 2 at (a1,b2), (a2,b1)
+    and (a2,b2), and c2 in level 3 at (a2,b2) and in level 2 at (a1,b1),
+    (a1,b2) and (a2,b1).
+    """
+    masks = M.masks
+    r3, r2, r1 = masks[3][0], masks[2][0], masks[1][0]
+    triples = [  # (a, b, level 3 at (a, b)), nonempty ones only
+        (a, b, ac & bc)
+        for a, (ab, ac) in enumerate(zip(r3, r2))
+        for b, bc in enumerate(r1)
+        if ab >> b & 1 and ac & bc
     ]
-    for (a1, b1, c1), (a2, b2, c2) in product(triples, repeat=2):
-        if a1 == a2 or b1 == b2 or c1 == c2:
-            continue
-        others = [
-            (a1, b2, c1),
-            (a2, b1, c1),
-            (a2, b2, c1),
-            (a1, b1, c2),
-            (a1, b2, c2),
-            (a2, b1, c2),
-        ]
-        if all(M.mu(*t) == 2 for t in others):
-            return False, {
-                "condition": "double-triple tensor pattern",
-                "a": (a1, a2),
-                "b": (b1, b2),
-                "c": (c1, c2),
-            }
+    if not triples:
+        return True, None
+    level2 = [
+        [ac ^ bc if ab >> b & 1 else ac & bc for b, bc in enumerate(r1)]
+        for ab, ac in zip(r3, r2)
+    ]
+    for a1, b1, ks1 in triples:
+        for c1 in _indices(ks1):
+            bit = 1 << (c1 - 1)
+            for a2, b2, ks2 in triples:
+                if a2 == a1 or b2 == b1:
+                    continue
+                if not level2[a1][b2] & level2[a2][b1] & level2[a2][b2] & bit:
+                    continue
+                c = ks2 & level2[a1][b1] & level2[a1][b2] & level2[a2][b1]
+                if c:
+                    return False, {
+                        "condition": "double-triple tensor pattern",
+                        "a": (a1 + 1, a2 + 1),
+                        "b": (b1 + 1, b2 + 1),
+                        "c": (c1, _first(c)),
+                    }
     return True, None
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product, zip_longest
 from math import comb, prod
 from operator import itemgetter
@@ -103,15 +104,17 @@ def hilbert_oracle_naive(X: VarietyOfLines, box) -> list:
 # structured oracle
 # ---------------------------------------------------------------------------
 
-def _eval_row(node_count: int, node: int) -> list[int]:
+@lru_cache(maxsize=1024)
+def _eval_row(node_count: int, node: int) -> tuple[int, ...]:
     """Evaluation functional at an integer node, in value coordinates
     (nodes 1..node_count), times (node_count - 1)!: the Lagrange
-    coefficients with their denominators cleared."""
-    return [
+    coefficients with their denominators cleared. Memoised: scans ask
+    for the same few (node_count, node) pairs thousands of times."""
+    return tuple(
         (-1) ** (node_count - x) * comb(node_count - 1, x - 1)
         * prod(node - y for y in range(1, node_count + 1) if y != x)
         for x in range(1, node_count + 1)
-    ]
+    )
 
 
 def _condition_rows(sizes, conditions) -> list[list[int]]:

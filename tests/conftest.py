@@ -1,6 +1,6 @@
 """Shared fixtures: the worked examples used across the suite, two
-session-scoped populations reused by several acceptance criteria, and a
-brute-force reference for route 2's witnesses."""
+session-scoped populations reused by several acceptance criteria, and
+brute-force references for the witnesses of routes 2 and 3."""
 
 import itertools
 import random
@@ -19,7 +19,7 @@ from acmlines import (
     reisner_cm,
     stanley_reisner_complex,
 )
-from acmlines.criteria import _PATTERN_FAMILY_SEQS
+from acmlines.criteria import _PATTERN_FAMILY_SEQS, _pattern_witness
 from acmlines.sampling import random_variety
 from acmlines.variety import FAMILY_NAMES
 
@@ -142,6 +142,121 @@ def first_pattern_by_product(X, n):
             if is_induced_cycle(Gc, cycle):
                 return cycle
     return None
+
+
+def _ordered_pairs(size):
+    return [(p, q) for p in range(1, size + 1) for q in range(1, size + 1) if p != q]
+
+
+def _diagonal_pattern(matrix):
+    """First (r1, r2, c1, c2) with the 2x2 identity pattern (1,0 / 0,1)."""
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    for r1, r2 in _ordered_pairs(nrows):
+        for c1 in range(1, ncols + 1):
+            if matrix[r1 - 1][c1 - 1] != 1 or matrix[r2 - 1][c1 - 1] != 0:
+                continue
+            for c2 in range(1, ncols + 1):
+                if c2 == c1:
+                    continue
+                if matrix[r1 - 1][c2 - 1] == 0 and matrix[r2 - 1][c2 - 1] == 1:
+                    return (r1, r2, c1, c2)
+    return None
+
+
+def _hyp4_by_mu(M):
+    for direction in (3, 2, 1):
+        hit = _diagonal_pattern(M.slice_matrix(direction))
+        if hit:
+            return False, {
+                "condition": f"slice-{direction} diagonal 2x2 pattern",
+                "rows": hit[:2],
+                "cols": hit[2:],
+            }
+    for order in ((1, 2, 3), (3, 1, 2), (2, 3, 1)):
+        P = M.permuted(order)
+        d1, d2, d3 = P.d
+        for a1, a2 in _ordered_pairs(d1):
+            for b1 in range(1, d2 + 1):
+                if P.m3[a1 - 1][b1 - 1] != 1 or P.m3[a2 - 1][b1 - 1] != 0:
+                    continue
+                for c1 in range(1, d3 + 1):
+                    if P.mu(a1, b1, c1) == 1 and P.mu(a2, b1, c1) == 1:
+                        return False, _pattern_witness(
+                            order, "doubled-{} tensor pattern",
+                            (a1, a2), (b1,), (c1,),
+                        )
+    return True, None
+
+
+def _hyp5_by_mu(M):
+    def block_ok(m, r1, r2, s1, s2):
+        return (
+            m[r1 - 1][s1 - 1] == 1
+            and m[r1 - 1][s2 - 1] == 1
+            and m[r2 - 1][s1 - 1] == 0
+            and m[r2 - 1][s2 - 1] == 1
+        )
+
+    for order in ((1, 2, 3), (1, 3, 2), (2, 3, 1)):
+        P = M.permuted(order)
+        d1, d2, d3 = P.d
+        for a1, a2 in _ordered_pairs(d1):
+            for b1, b2 in _ordered_pairs(d2):
+                if not block_ok(P.m3, a1, a2, b1, b2):
+                    continue
+                for c1 in range(1, d3 + 1):
+                    if (
+                        P.mu(a1, b1, c1) == 2
+                        and P.mu(a1, b2, c1) == 1
+                        and P.mu(a2, b1, c1) == 2
+                        and P.mu(a2, b2, c1) == 2
+                    ):
+                        return False, _pattern_witness(
+                            order, "doubled-{}-{} tensor pattern",
+                            (a1, a2), (b1, b2), (c1,),
+                        )
+    return True, None
+
+
+def _hyp6_by_mu(M):
+    d1, d2, d3 = M.d
+    triples = [
+        (i, j, k)
+        for i in range(1, d1 + 1)
+        for j in range(1, d2 + 1)
+        for k in range(1, d3 + 1)
+        if M.mu(i, j, k) == 3
+    ]
+    for (a1, b1, c1), (a2, b2, c2) in itertools.product(triples, repeat=2):
+        if a1 == a2 or b1 == b2 or c1 == c2:
+            continue
+        others = [
+            (a1, b2, c1),
+            (a2, b1, c1),
+            (a2, b2, c1),
+            (a1, b1, c2),
+            (a1, b2, c2),
+            (a2, b1, c2),
+        ]
+        if all(M.mu(*t) == 2 for t in others):
+            return False, {
+                "condition": "double-triple tensor pattern",
+                "a": (a1, a2),
+                "b": (b1, b2),
+                "c": (c1, c2),
+            }
+    return True, None
+
+
+def numeric_by_mu(M, n):
+    """Route 3's length-n criterion found the slow way: (verdict, witness).
+
+    The literal loops, over ordered index pairs and M.permuted(order),
+    that test each mu equality of the criterion one cell at a time; the
+    witness is the first hit in that loop order.
+    """
+    return {4: _hyp4_by_mu, 5: _hyp5_by_mu, 6: _hyp6_by_mu}[n](M)
 
 
 def all_small_varieties():

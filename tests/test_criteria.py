@@ -1,6 +1,8 @@
 """Multiplicity tensor, the three hyperplane-count conditions, and the
 combined verdict."""
 
+import random
+
 import pytest
 
 from acmlines import (
@@ -14,6 +16,8 @@ from acmlines import (
     make_variety,
     multiplicity_tensor,
 )
+from acmlines.criteria import _NUMERIC_CRITERIA
+from acmlines.sampling import random_variety
 from conftest import (
     DIAGONAL_PAIR_PLUS_ONE,
     FIVE_HYPERPLANE_EXAMPLE,
@@ -22,6 +26,7 @@ from conftest import (
     TWO_TRIPLE_POINTS,
     WORKED_EXAMPLES,
     first_pattern_by_product,
+    numeric_by_mu,
 )
 
 
@@ -99,6 +104,48 @@ def test_pattern_witnesses_match_product_search(X):
     for n in (4, 5, 6):
         witness = first_pattern_by_product(X, n)
         assert has_hyp_star(X, n) == (witness is None, witness)
+
+
+def _staircase(rng, rows, first):
+    parts = [first] + sorted((rng.randint(1, first) for _ in range(rows - 1)), reverse=True)
+    return {(r, c) for r, size in enumerate(parts, 1) for c in range(1, size + 1)}
+
+
+@pytest.mark.parametrize(
+    "seed, d", [(1, (5, 5, 5)), (2, (6, 5, 7)), (3, (7, 7, 6)), (4, (8, 8, 8))]
+)
+def test_pattern_witnesses_match_product_search_on_staircases(seed, d):
+    # An ACM Ferrers variety with hyperplane counts exactly d: no pattern
+    # exists, so both searches run over the whole box at every length.
+    rng = random.Random(seed)
+    d1, d2, d3 = d
+    X = make_variety(
+        d,
+        _staircase(rng, d1, d2),
+        _staircase(rng, rng.randint(1, d1), d3),
+        _staircase(rng, rng.randint(1, d2), rng.randint(1, d3)),
+    )
+    assert X.is_compact()
+    for n in (4, 5, 6):
+        witness = first_pattern_by_product(X, n)
+        assert has_hyp_star(X, n) == (witness is None, witness)
+
+
+def test_numeric_criteria_match_mu_loops_on_every_small_variety(small_population):
+    for X in small_population:
+        M = multiplicity_tensor(X)
+        for n, criterion in _NUMERIC_CRITERIA.items():
+            assert criterion(M) == numeric_by_mu(M, n), (X, n)
+
+
+def test_numeric_criteria_match_mu_loops_on_dense_random_varieties():
+    # dense dmax-4 inputs: some 6-patterns there have two candidate
+    # second triple points, which no 2x2x2 variety offers
+    rng = random.Random(4)
+    for _ in range(400):
+        M = multiplicity_tensor(random_variety(rng, 4, 0.6))
+        for n, criterion in _NUMERIC_CRITERIA.items():
+            assert criterion(M) == numeric_by_mu(M, n), (M, n)
 
 
 def test_bad_n_below_four():

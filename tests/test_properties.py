@@ -35,7 +35,10 @@ from acmlines import (
 )
 from acmlines.oracles import _boxrange, _kernel3
 from acmlines.sampling import random_variety
-from conftest import first_pattern_by_product
+from acmlines.criteria import _NUMERIC_CRITERIA
+from conftest import first_pattern_by_product, numeric_by_mu
+
+FAMILY_ORDERS = list(itertools.permutations((1, 2, 3)))
 
 
 @st.composite
@@ -94,6 +97,15 @@ def test_pattern_witnesses_match_product_search(X):
     for n in (4, 5, 6):
         witness = first_pattern_by_product(X, n)
         assert has_hyp_star(X, n) == (witness is None, witness)
+
+
+@given(varieties(dmax=4))
+@settings(max_examples=60, deadline=None)
+def test_numeric_criteria_match_mu_loops_under_family_orders(X):
+    for sigma in FAMILY_ORDERS:
+        M = multiplicity_tensor(permute_families(X, sigma))
+        for n, criterion in _NUMERIC_CRITERIA.items():
+            assert criterion(M) == numeric_by_mu(M, n), (sigma, n)
 
 
 @given(varieties())
@@ -236,9 +248,6 @@ def test_ferrers_check_matches_permutation_search(X):
         if expected:
             break
     assert got == expected
-
-
-FAMILY_ORDERS = list(itertools.permutations((1, 2, 3)))
 
 
 def _then(sigma, tau):
