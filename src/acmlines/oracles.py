@@ -19,6 +19,12 @@ axis that is saturated one step below, every kernel vector sits on one
 node x, and its two multiples span the same space as the vector and its
 copy at the new node (the 2x2 determinant is c_x (t_a + 1 - x), with
 c_x the nonzero extension coefficient), so those copies are the rows.
+The scan walks only the box clipped to the declared hyperplane counts
+d. At a degree t with some t_a > d_a, nodes t_a and t_a + 1 of axis a
+both lie past every hyperplane of family a, the copied rows already
+span I_t, and so no minimal generator lies past d (the proof is in
+generator_degree_scan). So the scan's work is bounded by d, not by the
+box.
 
 The face-ring route builds the vertex-decomposed simplicial complex
 whose facets are the vertex complements of the incidence-graph edges
@@ -246,10 +252,13 @@ def _rank3(deg, X: VarietyOfLines, memo) -> int:
         return bareiss_rank(_condition_rows(sizes, _line_conditions(X)))
     _, pick, rows, cols, points, d2 = view
     i, j, k = pick(deg)
-    return sum(
-        _rank2((j, k), r, c, points, d2, memo)
-        for r, c, _ in zip_longest(rows, cols, range(i + 1), fillvalue=_NONE)
-    )
+    # the nodes past d_f = len(rows) carry no rows or columns, so they
+    # all pose one problem
+    total = sum(_rank2((j, k), r, c, points, d2, memo) for r, c in zip(rows, cols))
+    free = i + 1 - len(rows)
+    if free:
+        total += free * _rank2((j, k), _NONE, _NONE, points, d2, memo)
+    return total
 
 
 def hilbert_oracle_at(X: VarietyOfLines, deg) -> int:
@@ -373,6 +382,19 @@ def generator_degree_scan(X: VarietyOfLines, box) -> dict:
     node t_a + 1, which span the same plane (determinant c_x (t_a + 1 -
     x) != 0, c_x the extension coefficient of node x). Warns when the
     box provably cuts off generators of an ACM variety.
+
+    Only the box clipped to X.d is scanned, because no minimal generator
+    has t_a > d_a. Say t_a > d_a. Then axis a is saturated at t - e_a
+    and at t. By the value-coordinate split, I_t is the direct sum of
+    node slices K_x, one per node x of axis a, and the kernel at t - e_a
+    is the sum of the same slices at nodes 1..t_a, which the copy rule
+    emits unchanged. Nodes t_a and t_a + 1 both lie past every
+    hyperplane of family a, so both slices are the kernel of the free
+    lines' point conditions alone, and the copy rule also emits the copy
+    of node t_a's kernel at node t_a + 1. So the grown span is all of
+    I_t and the count is 0. The kernels past d are never needed either,
+    since t + e_b is past d whenever t is. The dict is the one the full
+    box gives, key order included: it only holds nonzero counts.
     """
     box = check_box(box)
     if not X.is_empty and is_acm(X).acm:
@@ -386,7 +408,7 @@ def generator_degree_scan(X: VarietyOfLines, box) -> dict:
     memo: dict = {}
     kernels: dict[tuple, list[dict]] = {}
     found: dict[tuple, int] = {}
-    for t in _boxrange(box):
+    for t in _boxrange(tuple(map(min, box, X.d))):
         i, j, k = t
         dim_ring = (i + 1) * (j + 1) * (k + 1)
         dim_ideal = dim_ring - _rank3(t, X, memo)

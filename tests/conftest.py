@@ -1,6 +1,7 @@
 """Shared fixtures: the worked examples used across the suite, two
-session-scoped populations reused by several acceptance criteria, and
-brute-force references for the witnesses of routes 2 and 3."""
+session-scoped populations reused by several acceptance criteria,
+brute-force references for the witnesses of routes 2 and 3, and the
+generator scan over the whole box."""
 
 import itertools
 import random
@@ -20,6 +21,8 @@ from acmlines import (
     stanley_reisner_complex,
 )
 from acmlines.criteria import _PATTERN_FAMILY_SEQS, _pattern_witness
+from acmlines.linalg import sparse_rank
+from acmlines.oracles import _boxrange, _grown_rows, _kernel3, _rank3
 from acmlines.sampling import random_variety
 from acmlines.variety import FAMILY_NAMES
 
@@ -257,6 +260,21 @@ def numeric_by_mu(M, n):
     witness is the first hit in that loop order.
     """
     return {4: _hyp4_by_mu, 5: _hyp5_by_mu, 6: _hyp6_by_mu}[n](M)
+
+
+def scan_unclipped(X, box):
+    """generator_degree_scan's counts from a loop over the whole box,
+    without the warning: it also eliminates at every degree past X.d,
+    where the scan itself stops."""
+    memo, kernels, found = {}, {}, {}
+    for t in _boxrange(box):
+        dim_ideal = (t[0] + 1) * (t[1] + 1) * (t[2] + 1) - _rank3(t, X, memo)
+        kernels[t] = _kernel3(t, X, memo) if dim_ideal else []
+        if dim_ideal:
+            count = dim_ideal - sparse_rank(_grown_rows(t, kernels, X.d), dim_ideal)
+            if count:
+                found[t] = count
+    return found
 
 
 def all_small_varieties():

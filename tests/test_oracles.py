@@ -4,6 +4,7 @@ face-ring Cohen-Macaulay test."""
 import random
 import time
 import warnings
+from operator import gt
 
 import pytest
 
@@ -124,11 +125,22 @@ def _multiplied_reference(t, kernels):
     return rows
 
 
+def _spread(X):
+    """X with every used index p renumbered 2p and d doubled, so every
+    odd hyperplane is declared but unused."""
+    def double(pairs):
+        return {(2 * p, 2 * q) for p, q in pairs}
+    return make_variety(
+        tuple(2 * n for n in X.d), double(X.U3), double(X.U2), double(X.U1)
+    )
+
+
 def test_grown_span_lies_in_the_ideal_and_matches_the_multiples():
     # The scan stops eliminating at dim I_t, which makes the bound
     # "grown span <= dim I_t" vacuous there; it is checked here instead,
     # with unlimited ranks, together with the copy rule's claim that the
-    # copied rows span what the multiplied rows span.
+    # copied rows span what the multiplied rows span, and the clip's
+    # claim that past d (some t_a > d_a) the grown span is all of I_t.
     rng = random.Random(83)
     inputs = [(random_ferrers_variety(rng, 3), (4, 4, 4)) for _ in range(5)]
     rng = random.Random(11)
@@ -136,6 +148,20 @@ def test_grown_span_lies_in_the_ideal_and_matches_the_multiples():
         X = random_variety(rng, 4, 0.4)
         if not is_acm(X).acm:
             inputs.append((X, (3, 3, 3)))
+    # declared but unused hyperplanes, boxes smaller than d on some
+    # axis, and families with d_a = 0
+    rng = random.Random(12)
+    for _ in range(3):
+        X = random_variety(rng, 2, 0.5)
+        inputs.append((_spread(X), (5, 2, 5)))
+        padded = make_variety(tuple(n + 1 for n in X.d), X.U3, X.U2, X.U1)
+        inputs.append((padded, (4, 4, 1)))
+    inputs += [
+        (FULL_BOX_432, (2, 4, 4)),
+        (make_variety((2, 3, 0), u3={(1, 1), (2, 3)}), (3, 4, 2)),
+        (make_variety((0, 2, 2), u1={(1, 2), (2, 1)}), (2, 3, 3)),
+        (EMPTY_VARIETY, (2, 1, 1)),
+    ]
     for X, box in inputs:
         memo, kernels = {}, {}
         for t in _boxrange(box):
@@ -151,6 +177,23 @@ def test_grown_span_lies_in_the_ideal_and_matches_the_multiples():
             assert sparse_rank(multiplied) == grown, (X, t)
             assert sparse_rank(copied + multiplied) == grown, (X, t)
             assert sparse_rank(copied, dim_ideal) == min(grown, dim_ideal)
+            if any(map(gt, t, X.d)):
+                assert grown == dim_ideal, (X, t)
+
+
+def test_scan_work_is_bounded_by_d():
+    # Criterion 8's first three staircases: a box ten times past d gives
+    # the same dict as (6, 6, 6), in time set by d, not by the box.
+    rng = random.Random(83)
+    varieties = [random_ferrers_variety(rng, 3) for _ in range(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoxTooSmallWarning)
+        expected = [generator_degree_scan(X, (6, 6, 6)) for X in varieties]
+        started = time.monotonic()
+        scans = [generator_degree_scan(X, (60, 60, 60)) for X in varieties]
+        elapsed = time.monotonic() - started
+    assert [list(s.items()) for s in scans] == [list(s.items()) for s in expected]
+    assert elapsed < 1.0
 
 
 def test_scan_empty_variety():

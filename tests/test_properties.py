@@ -36,7 +36,7 @@ from acmlines import (
 from acmlines.oracles import _boxrange, _kernel3
 from acmlines.sampling import random_variety
 from acmlines.criteria import _NUMERIC_CRITERIA
-from conftest import first_pattern_by_product, numeric_by_mu
+from conftest import first_pattern_by_product, numeric_by_mu, scan_unclipped
 
 FAMILY_ORDERS = list(itertools.permutations((1, 2, 3)))
 
@@ -298,6 +298,25 @@ def test_generator_scan_permutes_with_families():
             # new axis n is old axis sigma[n-1]
             expected = {tuple(t[f - 1] for f in sigma): c for t, c in scan.items()}
             assert generator_degree_scan(permute_families(X, sigma), box) == expected
+
+
+@given(
+    varieties(dmax=4),
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+)
+@settings(max_examples=40, deadline=None)
+def test_clipped_scan_equals_the_full_box_scan(X, pad, box):
+    # pad declares unused hyperplanes; the box may be smaller than d on
+    # some axes and larger on others
+    X = make_variety(tuple(map(sum, zip(X.d, pad))), X.U3, X.U2, X.U1)
+    for sigma in FAMILY_ORDERS:
+        Y = permute_families(X, sigma)
+        box_y = tuple(box[f - 1] for f in sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoxTooSmallWarning)
+            scan = generator_degree_scan(Y, box_y)
+        assert list(scan.items()) == list(scan_unclipped(Y, box_y).items()), (Y, box_y)
 
 
 @given(
