@@ -4,8 +4,9 @@
 Enumerates every subset of the 12 possible lines over a 2x2x2 box of
 hyperplanes, runs the chordality route, the hyperplane-subset route,
 and the numeric multiplicity route on each, and reports any variety
-where the routes disagree.  Every route 2 pattern (lengths 4, 5, 6) is
-also checked to be a chordless cycle of the complement graph.
+where the routes disagree, or where acm_decision (route 1 alone, on
+bitmasks) differs from their verdict.  Every route 2 pattern (lengths 4,
+5, 6) is also checked to be a chordless cycle of the complement graph.
 Optionally also compares against the face-ring depth oracle.
 """
 
@@ -15,6 +16,7 @@ import time
 
 from acmlines import (
     CriteriaDisagreement,
+    acm_decision,
     all_varieties,
     build_graph,
     complement,
@@ -35,7 +37,7 @@ def main(argv=None):
 
     started = time.monotonic()
     total = acm = disagreements = oracle_splits = 0
-    witnesses = bad_witnesses = 0
+    witnesses = bad_witnesses = decision_splits = 0
     for X in all_varieties():
         total += 1
         try:
@@ -46,6 +48,10 @@ def main(argv=None):
             continue
         if verdict.acm:
             acm += 1
+        if acm_decision(X) != verdict.acm:
+            decision_splits += 1
+            print("DECISION DISAGREEMENT:", variety_to_dict(X),
+                  "routes say", verdict.acm)
         Gc = complement(build_graph(X))
         for n in (4, 5, 6):
             _, witness = has_hyp_star(X, n)
@@ -64,9 +70,11 @@ def main(argv=None):
     elapsed = time.monotonic() - started
     print(f"checked {total} varieties in {elapsed:.1f}s: "
           f"{acm} ACM, {disagreements} route disagreements, "
+          f"{decision_splits} acm_decision splits, "
           f"{witnesses} patterns checked ({bad_witnesses} not chordless cycles)"
           + (f", {oracle_splits} oracle splits" if args.with_oracle else ""))
-    return 1 if disagreements or oracle_splits or bad_witnesses else 0
+    failed = disagreements or decision_splits or oracle_splits or bad_witnesses
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

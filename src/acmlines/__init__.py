@@ -4,6 +4,7 @@ coordinate lines in a product of three projective lines."""
 from .criteria import (
     AcmVerdict,
     MultiplicityTensor,
+    acm_decision,
     criterion_hyp4_numeric,
     criterion_hyp5_numeric,
     criterion_hyp6_numeric,

@@ -25,6 +25,7 @@ import argparse
 import json
 import sys
 import warnings
+from functools import cache
 
 from .criteria import is_acm
 from .errors import AcmLinesError, CriteriaDisagreement
@@ -236,9 +237,15 @@ def _warn_one_line(message, category, filename, lineno, file=None, line=None):
     print(f"warning: {message}", file=sys.stderr)
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it as it
+    was, so every main call can share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _warn_one_line
         try:

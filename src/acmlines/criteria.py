@@ -6,6 +6,9 @@ that are obstructions (an n-pattern exists iff the complement graph has
 an induced n-cycle). Route 3 evaluates purely numeric conditions on the
 multiplicity tensor of the variety. All three must agree; a
 disagreement raises, because it can only mean a bug.
+
+is_acm runs all three routes. acm_decision runs route 1 alone, on
+bitmasks, for callers that need only the yes/no answer.
 """
 
 from __future__ import annotations
@@ -15,7 +18,13 @@ from functools import cached_property
 from itertools import combinations, compress
 
 from .errors import BadN, CriteriaDisagreement
-from .graphs import build_graph, complement, is_chordal, is_induced_cycle
+from .graphs import (
+    _mcs_failure,
+    build_graph,
+    complement,
+    is_chordal,
+    is_induced_cycle,
+)
 from .variety import (
     DIRECTION_FAMILIES,
     FAMILY_NAMES,
@@ -334,6 +343,14 @@ def criterion_hyp6_numeric(M: MultiplicityTensor):
     second pair a2, b2, bit c1 must lie in level 2 at (a1,b2), (a2,b1)
     and (a2,b2), and c2 in level 3 at (a2,b2) and in level 2 at (a1,b1),
     (a1,b2) and (a2,b1).
+
+    So the second pair is found through level 2 at the fixed k = c1, as
+    a mask over b for each a: bit b is set when c1 lies in level 2 at
+    (a, b). With x the bit c1 of m2[a] and y the column c1 of m1 (a mask
+    over b), that mask is m3[a] ^ y when x = 1 and m3[a] & y when x = 0.
+    Then a2 ranges over the rows with a triple whose mask holds b1, and
+    b2 over the bits (but b1) of the masks of a1 and a2 that are triples
+    of row a2, both ascending, which is the order of the triples list.
     """
     masks = M.masks
     r3, r2, r1 = masks[3][0], masks[2][0], masks[1][0]
@@ -349,22 +366,41 @@ def criterion_hyp6_numeric(M: MultiplicityTensor):
         [ac ^ bc if ab >> b & 1 else ac & bc for b, bc in enumerate(r1)]
         for ab, ac in zip(r3, r2)
     ]
+    level3 = {(a, b): ks for a, b, ks in triples}
+    triple_rows: dict[int, int] = {}  # a -> the b with a nonempty level 3
+    for a, b, _ in triples:
+        triple_rows[a] = triple_rows.get(a, 0) | 1 << b
+    cols1 = masks[1][1]
+    at_k: dict[int, dict] = {}  # k -> a -> level 2 at (a, b, k) over b
     for a1, b1, ks1 in triples:
         for c1 in _indices(ks1):
-            bit = 1 << (c1 - 1)
-            for a2, b2, ks2 in triples:
-                if a2 == a1 or b2 == b1:
+            at_c1 = at_k.get(c1)
+            if at_c1 is None:
+                y, k = cols1[c1 - 1], c1 - 1
+                at_c1 = at_k[c1] = {
+                    a: r3[a] ^ y if r2[a] >> k & 1 else r3[a] & y
+                    for a in triple_rows
+                }
+            row1 = at_c1[a1] & ~(1 << b1)
+            if not row1:
+                continue
+            for a2, row2 in at_c1.items():
+                bs = row1 & row2 & triple_rows[a2]
+                if not bs or a2 == a1 or not row2 >> b1 & 1:
                     continue
-                if not level2[a1][b2] & level2[a2][b1] & level2[a2][b2] & bit:
-                    continue
-                c = ks2 & level2[a1][b1] & level2[a1][b2] & level2[a2][b1]
-                if c:
-                    return False, {
-                        "condition": "double-triple tensor pattern",
-                        "a": (a1 + 1, a2 + 1),
-                        "b": (b1 + 1, b2 + 1),
-                        "c": (c1, _first(c)),
-                    }
+                for b2 in _indices(bs):
+                    b2 -= 1
+                    c = (
+                        level3[a2, b2] & level2[a1][b1]
+                        & level2[a1][b2] & level2[a2][b1]
+                    )
+                    if c:
+                        return False, {
+                            "condition": "double-triple tensor pattern",
+                            "a": (a1 + 1, a2 + 1),
+                            "b": (b1 + 1, b2 + 1),
+                            "c": (c1, _first(c)),
+                        }
     return True, None
 
 
@@ -404,6 +440,27 @@ class AcmVerdict:
             },
             "witness": witness,
         }
+
+
+def acm_decision(X: VarietyOfLines) -> bool:
+    """Whether X is ACM, by route 1 alone and without a certificate.
+
+    The complement of the incidence graph is built as adjacency bitmasks
+    in build_graph's vertex order (family-major: A1.., B1.., C1..)
+    straight from X's lines, and its chordality decided by the search
+    that is_chordal runs. For callers that need only the yes/no answer;
+    is_acm runs all three routes and carries the witnesses.
+    """
+    offsets = (0, X.d[0], X.d[0] + X.d[1])
+    n = sum(X.d)
+    incident = [1 << v for v in range(n)]  # each vertex, with its lines
+    for direction, (fam_p, fam_q) in DIRECTION_FAMILIES.items():
+        off_p, off_q = offsets[fam_p - 1] - 1, offsets[fam_q - 1] - 1
+        for p, q in X.u(direction):
+            incident[off_p + p] |= 1 << (off_q + q)
+            incident[off_q + q] |= 1 << (off_p + p)
+    full = (1 << n) - 1
+    return _mcs_failure([full ^ row for row in incident]) is None
 
 
 def is_acm(X: VarietyOfLines) -> AcmVerdict:

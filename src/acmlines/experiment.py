@@ -15,12 +15,18 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .criteria import is_acm
+from .criteria import acm_decision, is_acm
 from .ferrers import ferrers_companion, hilbert_function
-from .errors import BadParameter
+from .errors import BadParameter, CriteriaDisagreement
 from .oracles import _boxrange, hilbert_oracle
 from .sampling import check_sampling, random_variety
-from .variety import VarietyOfLines, _is_int, check_box, variety_to_dict
+from .variety import (
+    VarietyOfLines,
+    _is_int,
+    check_box,
+    variety_to_dict,
+    variety_to_json,
+)
 
 DEFAULT_ATTEMPTS_PER_TRIAL = 1000
 
@@ -90,6 +96,10 @@ def run_hf_experiment(
 
     Deterministic for a fixed seed. ``fixed_inputs`` are consumed
     before any random sampling, one per trial; they must be ACM.
+    Sampled candidates are screened by acm_decision (route 1 alone), and
+    every accepted variety, sampled or fixed, then goes through is_acm
+    once, so all three routes agree on each variety the report counts;
+    a disagreement raises CriteriaDisagreement.
     """
     if not (_is_int(trials) and trials >= 0):
         raise BadParameter(f"trials must be a non-negative integer, got {trials!r}")
@@ -107,11 +117,16 @@ def run_hf_experiment(
             X = None
             for _ in range(attempts_per_trial):
                 candidate = random_variety(rng, dmax, p)
-                if is_acm(candidate).acm:
+                if acm_decision(candidate):
                     X = candidate
                     break
             if X is None:
                 continue
+            if not is_acm(X).acm:
+                raise CriteriaDisagreement(
+                    f"acm_decision accepts {variety_to_json(X)}, "
+                    f"is_acm rejects it"
+                )
         report.acm_found += 1
         companion = ferrers_companion(X)
         report.companions_built += 1

@@ -104,11 +104,58 @@ def canonical_cycle(cycle, ordinal) -> tuple:
     return min(seqs, key=lambda t: tuple(ordinal[v] for v in t))
 
 
+def _mcs_failure(adj):
+    """Maximum cardinality search with the Tarjan-Yannakakis check, on
+    adjacency bitmasks: vertex n is bit n, and adj[n] is its neighbours.
+
+    The search visits an unvisited vertex with the most visited
+    neighbours, the lowest index on ties. Each vertex v is checked as it
+    is visited: its visited neighbours must all be adjacent to the
+    latest of them, u. Returns None when every check passes (the graph
+    is chordal), else (v, u, w, pos) for the first failure, with w the
+    lowest-index visited neighbour of v not adjacent to u, and pos[n]
+    the step at which vertex n was visited (len(adj) if it was not).
+    """
+    n = len(adj)
+    levels = [(1 << n) - 1]  # levels[k]: unvisited, k visited neighbours
+    top = 0
+    pos = [n] * n
+    order: list[int] = []
+    visited = 0
+    for step in range(n):
+        while not levels[top]:
+            top -= 1
+        low = levels[top] & -levels[top]
+        levels[top] ^= low
+        v = low.bit_length() - 1
+        pos[v] = step
+        earlier = adj[v] & visited
+        if earlier:
+            u = next(x for x in reversed(order) if earlier >> x & 1)
+            missing = earlier & ~adj[u] & ~(1 << u)
+            if missing:
+                return v, u, (missing & -missing).bit_length() - 1, pos
+        order.append(v)
+        visited |= low
+        rising = adj[v] & ~visited
+        if rising:
+            # descending, so no vertex moves twice
+            levels.append(0)
+            for k in range(top, -1, -1):
+                moving = levels[k] & rising
+                if moving:
+                    levels[k] ^= moving
+                    levels[k + 1] |= moving
+            top += 1
+    return None
+
+
 def is_chordal(G: Graph):
     """Maximum-cardinality-search chordality test with a cycle certificate.
 
     Returns (True, None) or (False, cycle) where the cycle is a
-    chordless cycle of length >= 4, canonicalized.
+    chordless cycle of length >= 4, canonicalized. The search itself is
+    _mcs_failure, on the vertices' positions in G.vertices.
 
     Why the certificate always exists: in a maximum cardinality search
     order, G is chordal iff every vertex's earlier neighbours are all
@@ -120,28 +167,13 @@ def is_chordal(G: Graph):
     length >= 4.
     """
     ordinal, adj = G.ordinal, G.adj
-    weight = {v: 0 for v in G.vertices}
-    unvisited = set(G.vertices)
-    order: list[HyperplaneId] = []
-    pos: dict[HyperplaneId, int] = {}
-    for step in range(len(G.vertices)):
-        v = max(unvisited, key=lambda x: (weight[x], -ordinal[x]))
-        unvisited.remove(v)
-        pos[v] = step
-        order.append(v)
-        for w in adj[v]:
-            if w in unvisited:
-                weight[w] += 1
-    for i, v in enumerate(order):
-        earlier = [w for w in adj[v] if pos[w] < i]
-        if not earlier:
-            continue
-        u = max(earlier, key=lambda x: pos[x])
-        missing = [w for w in earlier if w != u and w not in adj[u]]
-        if missing:
-            w = min(missing, key=lambda x: ordinal[x])
-            return False, _extract_cycle(G, pos, v, u, w)
-    return True, None
+    masks = [sum(1 << ordinal[w] for w in adj[v]) for v in G.vertices]
+    failure = _mcs_failure(masks)
+    if failure is None:
+        return True, None
+    v, u, w, pos = failure
+    vertices = G.vertices
+    return False, _extract_cycle(G, pos, vertices[v], vertices[u], vertices[w])
 
 
 def _extract_cycle(G, pos, v, u, w):
@@ -149,16 +181,21 @@ def _extract_cycle(G, pos, v, u, w):
 
     u and w are earlier neighbors of v that are non-adjacent; a shortest
     u-w path avoiding N[v] among earlier vertices closes an induced
-    cycle.
+    cycle. pos lists the search step of each vertex by its position in
+    G.vertices.
     """
-    allowed = {x for x in G.vertices if pos[x] < pos[v] and x not in G.adj[v]}
+    ordinal = G.ordinal
+    allowed = {
+        x for x in G.vertices
+        if pos[ordinal[x]] < pos[ordinal[v]] and x not in G.adj[v]
+    }
     allowed |= {u, w}
     parent = {u: None}
     frontier = [u]
     while frontier and w not in parent:
         nxt = []
         for x in frontier:
-            for y in sorted(G.adj[x] & allowed, key=lambda t: G.ordinal[t]):
+            for y in sorted(G.adj[x] & allowed, key=lambda t: ordinal[t]):
                 if y not in parent:
                     parent[y] = x
                     nxt.append(y)
@@ -167,7 +204,7 @@ def _extract_cycle(G, pos, v, u, w):
     while parent.get(path[-1]) is not None:
         path.append(parent[path[-1]])
     path.reverse()
-    cycle = canonical_cycle([v] + path, G.ordinal)
+    cycle = canonical_cycle([v] + path, ordinal)
     assert is_induced_cycle(G, cycle), cycle
     return cycle
 

@@ -41,7 +41,8 @@ from itertools import combinations, product, zip_longest
 from math import comb, prod
 from operator import itemgetter
 
-from .criteria import is_acm
+from .criteria import acm_decision
+from .criteria import is_acm  # noqa: F401  perfbench/selftest.py traces this binding
 from .errors import BoxTooSmallWarning, EmptyVariety, SizeLimit
 from .ferrers import _row_sets, degree_sets, ferrers_companion
 from .graphs import build_graph
@@ -190,15 +191,10 @@ def _rank2(deg_pair, rows, cols, points, d2, memo) -> int:
 
     P has deg_pair[0]+1 value coordinates and indices up to d2; Q has
     deg_pair[1]+1. The front view puts the saturated factors first, so
-    when P is not saturated neither is Q.
+    when P is not saturated neither is Q. rows, cols and points are
+    frozensets, so they key the memo as they are.
     """
-    key = (
-        deg_pair,
-        frozenset(rows),
-        frozenset(cols),
-        frozenset(points),
-        d2,
-    )
+    key = (deg_pair, rows, cols, points, d2)  # frozensets, from _front_view
     if key in memo:
         return memo[key]
     j, k = deg_pair
@@ -225,9 +221,9 @@ def _front_view(deg, X: VarietyOfLines, memo):
     saturated factors first (each group in ascending order) and grouped
     once, in memo under the saturation pattern (a memo serves one
     variety): the order, its pick (family_permutation), the direction-3
-    rows and direction-2 columns of each front index (_row_sets, d_f
-    long; the nodes past d_f have none), the direction-1 lines as
-    points, and the second family's size."""
+    rows and direction-2 columns of each front index (_row_sets as
+    frozensets, d_f long; the nodes past d_f have none), the direction-1
+    lines as points, and the second family's size."""
     i, j, k = deg
     d1, d2, d3 = X.d
     saturated = (d1 <= i + 1, d2 <= j + 1, d3 <= k + 1)
@@ -239,7 +235,9 @@ def _front_view(deg, X: VarietyOfLines, memo):
         order = tuple(sorted((1, 2, 3), key=lambda f: not saturated[f - 1]))
         Y = permute_families(X, order)
         pick = family_permutation(order)[0]
-        view = order, pick, _row_sets(Y, 3), _row_sets(Y, 2), Y.U1, Y.d[1]
+        rows = [frozenset(r) for r in _row_sets(Y, 3)]
+        cols = [frozenset(c) for c in _row_sets(Y, 2)]
+        view = order, pick, rows, cols, Y.U1, Y.d[1]
         memo[key] = view
     return view
 
@@ -397,7 +395,7 @@ def generator_degree_scan(X: VarietyOfLines, box) -> dict:
     box gives, key order included: it only holds nonzero counts.
     """
     box = check_box(box)
-    if not X.is_empty and is_acm(X).acm:
+    if not X.is_empty and acm_decision(X):
         guaranteed = degree_sets(ferrers_companion(X)).minimal
         needed = tuple(max(t[f] for t in guaranteed) for f in range(3))
         if any(n > b for n, b in zip(needed, box)):

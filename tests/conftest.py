@@ -1,7 +1,8 @@
 """Shared fixtures: the worked examples used across the suite, two
 session-scoped populations reused by several acceptance criteria,
-brute-force references for the witnesses of routes 2 and 3, and the
-generator scan over the whole box."""
+brute-force references for the witnesses of routes 2 and 3, the
+chordality search on vertex sets, and the generator scan over the whole
+box."""
 
 import itertools
 import random
@@ -21,6 +22,7 @@ from acmlines import (
     stanley_reisner_complex,
 )
 from acmlines.criteria import _PATTERN_FAMILY_SEQS, _pattern_witness
+from acmlines.graphs import _extract_cycle
 from acmlines.linalg import sparse_rank
 from acmlines.oracles import _boxrange, _grown_rows, _kernel3, _rank3
 from acmlines.sampling import random_variety
@@ -260,6 +262,37 @@ def numeric_by_mu(M, n):
     witness is the first hit in that loop order.
     """
     return {4: _hyp4_by_mu, 5: _hyp5_by_mu, 6: _hyp6_by_mu}[n](M)
+
+
+def is_chordal_by_sets(G):
+    """is_chordal's verdict and certificate from a search on vertex sets
+    and dicts: the whole maximum cardinality search order first (most
+    visited neighbours, then lowest position in G.vertices), then the
+    Tarjan-Yannakakis check along it."""
+    ordinal, adj = G.ordinal, G.adj
+    weight = {v: 0 for v in G.vertices}
+    unvisited = set(G.vertices)
+    order = []
+    pos = {}
+    for step in range(len(G.vertices)):
+        v = max(unvisited, key=lambda x: (weight[x], -ordinal[x]))
+        unvisited.remove(v)
+        pos[v] = step
+        order.append(v)
+        for w in adj[v]:
+            if w in unvisited:
+                weight[w] += 1
+    for i, v in enumerate(order):
+        earlier = [w for w in adj[v] if pos[w] < i]
+        if not earlier:
+            continue
+        u = max(earlier, key=lambda x: pos[x])
+        missing = [w for w in earlier if w != u and w not in adj[u]]
+        if missing:
+            w = min(missing, key=lambda x: ordinal[x])
+            steps = [pos[x] for x in G.vertices]
+            return False, _extract_cycle(G, steps, v, u, w)
+    return True, None
 
 
 def scan_unclipped(X, box):

@@ -8,6 +8,7 @@ import pytest
 from acmlines import (
     BadN,
     EMPTY_VARIETY,
+    acm_decision,
     criterion_hyp4_numeric,
     criterion_hyp5_numeric,
     criterion_hyp6_numeric,
@@ -188,3 +189,11 @@ def test_empty_variety_is_acm():
 def test_single_direction_rectangle_is_acm():
     X = make_variety((2, 3, 1), u3={(i, j) for i in (1, 2) for j in (1, 2, 3)})
     assert is_acm(X).acm
+
+
+def test_acm_decision_matches_is_acm_on_every_small_variety(route_verdicts):
+    verdicts, disagreements = route_verdicts
+    assert not disagreements
+    assert len(verdicts) == 4095
+    for X, verdict in verdicts:
+        assert acm_decision(X) == verdict.acm, X

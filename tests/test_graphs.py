@@ -3,6 +3,8 @@
 import random
 from itertools import combinations
 
+from hypothesis import given, settings, strategies as st
+
 from acmlines import (
     all_varieties,
     build_graph,
@@ -18,6 +20,7 @@ from conftest import (
     DIAGONAL_PAIR_PLUS_ONE,
     REPAIRED_TRIPLE_POINTS,
     TWO_TRIPLE_POINTS,
+    is_chordal_by_sets,
 )
 
 
@@ -137,3 +140,25 @@ def test_chordality_certificate_matches_exhaustive_search():
         cycles = chordless_cycles(G, max_len=G.vertex_count)
         assert ok == (not cycles), G
         assert ok or cycle in cycles, G
+
+
+@st.composite
+def graphs(draw, max_vertices=9):
+    """A graph on up to max_vertices vertices, listed in a drawn order so
+    that a vertex's position and its label differ."""
+    vertices = draw(st.permutations(range(draw(st.integers(0, max_vertices)))))
+    pairs = list(combinations(sorted(vertices), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph(vertices=tuple(vertices), edges=frozenset(edges))
+
+
+@given(graphs())
+@settings(max_examples=300, deadline=None)
+def test_mask_search_matches_the_set_search(G):
+    assert is_chordal(G) == is_chordal_by_sets(G)
+
+
+def test_mask_search_matches_the_set_search_on_every_small_variety(small_population):
+    for X in small_population:
+        Gc = complement(build_graph(X))
+        assert is_chordal(Gc) == is_chordal_by_sets(Gc), X

@@ -11,6 +11,7 @@ import pytest
 from acmlines import (
     BadParameter,
     BoxTooSmallWarning,
+    CriteriaDisagreement,
     EMPTY_VARIETY,
     EmptyVariety,
     SizeLimit,
@@ -26,6 +27,7 @@ from acmlines import (
     run_hf_experiment,
     stanley_reisner_complex,
 )
+from acmlines import experiment
 from acmlines.linalg import bareiss_rank, extension_coeffs, sparse_rank
 from acmlines.oracles import (
     _boxrange,
@@ -290,3 +292,13 @@ def test_hf_experiment_checks_parameters_before_any_trial(tmp_path):
             trials=1, p=0.0, out_dir=tmp_path, fixed_inputs=(SINGLE_LINE,)
         )
     assert list(tmp_path.iterdir()) == []
+
+
+def test_hf_experiment_raises_when_the_screen_accepts_a_non_acm_variety(monkeypatch):
+    # every sampled candidate passes the screen, so the first one (dense,
+    # at dmax 6, and not ACM for this seed) must be caught by is_acm
+    monkeypatch.setattr(experiment, "acm_decision", lambda X: True)
+    first = random_variety(random.Random(5), 6, 0.4)
+    assert not is_acm(first).acm
+    with pytest.raises(CriteriaDisagreement, match="is_acm rejects"):
+        run_hf_experiment(trials=1, dmax=6, seed=5)

@@ -6,10 +6,11 @@ import itertools
 import random
 import warnings
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from acmlines import (
     BoxTooSmallWarning,
+    acm_decision,
     compact,
     degree_sets,
     delta_hilbert,
@@ -89,6 +90,28 @@ def test_three_routes_agree(X):
     v = is_acm(X)  # raises CriteriaDisagreement on any split
     assert v.acm == v.chordal == all(v.hyp.values()) == all(v.numeric.values())
     assert v.hyp == v.numeric
+
+
+@st.composite
+def raw_varieties(draw, dmax=6):
+    """Varieties as drawn, not compacted: a family may have no
+    hyperplanes, hyperplanes may carry no line, and no line at all is
+    allowed."""
+    d = tuple(draw(st.integers(0, dmax)) for _ in range(3))
+    lines = []
+    for p, q in ((d[0], d[1]), (d[0], d[2]), (d[1], d[2])):
+        cells = [(i, j) for i in range(1, p + 1) for j in range(1, q + 1)]
+        lines.append(draw(st.sets(st.sampled_from(cells))) if cells else set())
+    return make_variety(d, *lines)
+
+
+@given(raw_varieties())
+@example(make_variety((0, 0, 0)))
+@example(make_variety((2, 2, 2)))  # hyperplanes but no lines
+@example(make_variety((3, 0, 3), u2={(1, 1), (2, 2)}))  # no B, A3 and C3 unused
+@settings(max_examples=200, deadline=None)
+def test_acm_decision_matches_is_acm(X):
+    assert acm_decision(X) == is_acm(X).acm
 
 
 @given(varieties())
