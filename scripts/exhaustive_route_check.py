@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Exhaustively cross-check the three ACM routes on a small box.
 
-Enumerates every subset of the 12 possible lines over a 2x2x2 box of
-hyperplanes, runs the chordality route, the hyperplane-subset route,
+Enumerates every subset of the possible lines over a box of hyperplanes
+(2x2x2 by default, 12 lines; --box 2 2 3 gives 16 lines and 65,535
+varieties), runs the chordality route, the hyperplane-subset route,
 and the numeric multiplicity route on each, and reports any variety
 where the routes disagree, or where acm_decision (route 1 alone, on
 bitmasks) differs from their verdict.  Every route 2 pattern (lengths 4,
@@ -15,7 +16,9 @@ import sys
 import time
 
 from acmlines import (
+    BadParameter,
     CriteriaDisagreement,
+    SizeLimit,
     acm_decision,
     all_varieties,
     build_graph,
@@ -33,12 +36,19 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--with-oracle", action="store_true",
                         help="also compare against the face-ring depth oracle")
+    parser.add_argument("--box", nargs=3, type=int, default=(2, 2, 2),
+                        metavar=("I", "J", "K"),
+                        help="hyperplanes per family (default 2 2 2)")
     args = parser.parse_args(argv)
+    try:
+        population = all_varieties(args.box)
+    except (BadParameter, SizeLimit) as exc:
+        parser.error(str(exc))
 
     started = time.monotonic()
     total = acm = disagreements = oracle_splits = 0
     witnesses = bad_witnesses = decision_splits = 0
-    for X in all_varieties():
+    for X in population:
         total += 1
         try:
             verdict = is_acm(X)
@@ -68,7 +78,8 @@ def main(argv=None):
                       "routes say", verdict.acm, "oracle says", cm)
 
     elapsed = time.monotonic() - started
-    print(f"checked {total} varieties in {elapsed:.1f}s: "
+    print(f"checked {total} varieties of the {tuple(args.box)} box "
+          f"in {elapsed:.1f}s: "
           f"{acm} ACM, {disagreements} route disagreements, "
           f"{decision_splits} acm_decision splits, "
           f"{witnesses} patterns checked ({bad_witnesses} not chordless cycles)"

@@ -54,7 +54,6 @@ from .ferrers import (
 from .graphs import (
     Graph,
     build_graph,
-    chordless_cycles,
     complement,
     graph_to_dot,
     is_chordal,

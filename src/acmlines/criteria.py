@@ -14,11 +14,13 @@ bitmasks, for callers that need only the yes/no answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations, compress
+from itertools import combinations
 
 from .errors import BadN, CriteriaDisagreement
 from .graphs import (
+    _bits,
+    _complement_masks,
+    _incidence_masks,
     _mcs_failure,
     build_graph,
     complement,
@@ -26,11 +28,11 @@ from .graphs import (
     is_induced_cycle,
 )
 from .variety import (
-    DIRECTION_FAMILIES,
     FAMILY_NAMES,
     HyperplaneId,
     VarietyOfLines,
     family_permutation,
+    line_masks,
     variety_to_json,
 )
 
@@ -43,69 +45,40 @@ from .variety import (
 class MultiplicityTensor:
     """mu(i,j,k) = number of lines of X through the point (A_i,B_j,C_k).
 
-    Stored through the three 0/1 slice matrices; mu is their overlay.
+    Stored through the three 0/1 slice matrices as line_masks gives
+    them: slices[direction] is (rows, cols), rows[p - 1] with bit q - 1
+    set when entry (p, q) is 1 and cols[q - 1] with bit p - 1. mu is
+    their overlay.
     """
 
     d: tuple[int, int, int]
-    m3: tuple[tuple[int, ...], ...]  # d1 x d2
-    m2: tuple[tuple[int, ...], ...]  # d1 x d3
-    m1: tuple[tuple[int, ...], ...]  # d2 x d3
+    slices: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
 
     def mu(self, i: int, j: int, k: int) -> int:
-        return (
-            self.m3[i - 1][j - 1] + self.m2[i - 1][k - 1] + self.m1[j - 1][k - 1]
-        )
+        r3, r2, r1 = _rows(self)
+        i, j, k = i - 1, j - 1, k - 1
+        return (r3[i] >> j & 1) + (r2[i] >> k & 1) + (r1[j] >> k & 1)
 
     def slice_matrix(self, direction: int) -> tuple[tuple[int, ...], ...]:
-        return (self.m1, self.m2, self.m3)[direction - 1]
-
-    @cached_property
-    def masks(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Each slice matrix as bitmasks, by direction: (rows, cols).
-
-        rows[p - 1] has bit q - 1 set when entry (p, q) is 1, and
-        cols[q - 1] has bit p - 1 set; the columns are the rows of the
-        transposed matrix.
-        """
-        bits = [1 << n for n in range(max(self.d, default=0))]
-        masks = {}
-        for direction, (_, fam_q) in DIRECTION_FAMILIES.items():
-            m = self.slice_matrix(direction)
-            columns = zip(*m) if m else ((),) * self.d[fam_q - 1]
-            masks[direction] = (
-                tuple([sum(compress(bits, row)) for row in m]),
-                tuple([sum(compress(bits, col)) for col in columns]),
-            )
-        return masks
+        rows, cols = self.slices[direction]
+        return tuple(tuple(row >> q & 1 for q in range(len(cols))) for row in rows)
 
     def permuted(self, order) -> MultiplicityTensor:
-        """The tensor of permute_families(X, order): each slice matrix
-        moves to its new direction, transposed where its pair flips."""
+        """The tensor of permute_families(X, order): each slice moves to
+        its new direction, rows and columns swapped where its pair flips."""
         order = tuple(order)
         pick, moves = family_permutation(order)
         if order == (1, 2, 3):
             return self
-        slices = []
-        for old, flip in moves:
-            m = self.slice_matrix(old)
-            if flip:  # an empty matrix has no rows to zip
-                ncols = self.d[DIRECTION_FAMILIES[old][1] - 1]
-                m = tuple(zip(*m)) if m else ((),) * ncols
-            slices.append(m)
-        return MultiplicityTensor(pick(self.d), *slices)
+        slices = {
+            new: self.slices[old][::-1] if flip else self.slices[old]
+            for new, (old, flip) in zip((3, 2, 1), moves)
+        }
+        return MultiplicityTensor(pick(self.d), slices)
 
 
 def multiplicity_tensor(X: VarietyOfLines) -> MultiplicityTensor:
-    def matrix(direction):
-        fam_p, fam_q = DIRECTION_FAMILIES[direction]
-        cells = X.u(direction)
-        cols = range(1, X.d[fam_q - 1] + 1)
-        return tuple(
-            tuple(1 if (r, c) in cells else 0 for c in cols)
-            for r in range(1, X.d[fam_p - 1] + 1)
-        )
-
-    return MultiplicityTensor(d=X.d, m3=matrix(3), m2=matrix(2), m1=matrix(1))
+    return MultiplicityTensor(X.d, line_masks(X))
 
 
 # ---------------------------------------------------------------------------
@@ -115,14 +88,6 @@ def multiplicity_tensor(X: VarietyOfLines) -> MultiplicityTensor:
 def _first(mask: int) -> int:
     """The 1-based index of the lowest set bit of a nonzero mask."""
     return (mask & -mask).bit_length()
-
-
-def _indices(mask: int):
-    """The 1-based indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length()
-        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -151,19 +116,7 @@ _PATTERN_FAMILY_SEQS = {
 }
 
 
-def _line_rows(X: VarietyOfLines) -> dict[int, list[int]]:
-    """Each direction's lines as bit rows: rows[direction][p] has bit
-    q - 1 set when (p, q) is a line (index 0 is unused)."""
-    line_rows = {}
-    for direction, (fam_p, _) in DIRECTION_FAMILIES.items():
-        rows = [0] * (X.d[fam_p - 1] + 1)
-        for p, q in X.u(direction):
-            rows[p] |= 1 << (q - 1)
-        line_rows[direction] = rows
-    return line_rows
-
-
-def _find_pattern(d, line_rows, fam_seq):
+def _find_pattern(d, masks, fam_seq):
     """First index assignment matching the pattern, or None.
 
     Positions are assigned one per step in (family, position) order,
@@ -171,38 +124,39 @@ def _find_pattern(d, line_rows, fam_seq):
     pair of positions s, t (s in the lower family) is checked once t is
     assigned: consecutive positions need an absent line (a complement
     edge of the cycle), the others a present line (a non-edge). So the
-    candidates of t are one mask, the AND of the line row of each
-    checked label (or its complement) without the predecessor's bit,
-    tried in ascending order.
+    candidates of t are one mask, the AND of the line row (from
+    line_masks) of each checked label (or its complement) without the
+    predecessor's bit, tried in ascending order. Labels are held as bit
+    positions (index - 1).
     """
     n = len(fam_seq)
     steps = sorted(range(n), key=lambda pos: (fam_seq[pos], pos))
     checks: list[list] = [[] for _ in range(n)]
-    twins = [n] * n  # labels[n] stays 0: no index is taken before
+    twins = [n] * n  # labels[n]: no twin yet
     for s, t in combinations(steps, 2):
         f, g = fam_seq[s], fam_seq[t]
         if f == g:
             twins[t] = s
         else:  # direction 6 - f - g holds the lines of families f < g
             consecutive = abs(s - t) in (1, n - 1)
-            checks[t].append((s, line_rows[6 - f - g], not consecutive))
+            checks[t].append((s, masks[6 - f - g][0], not consecutive))
     full = [(1 << d[f - 1]) - 1 for f in fam_seq]
-    labels = [0] * (n + 1)
+    labels = [max(d)] * (n + 1)  # bit max(d) lies in no full mask
 
     def assign(step):
         if step == n:
             return tuple(
-                HyperplaneId(FAMILY_NAMES[f - 1], i) for f, i in zip(fam_seq, labels)
+                HyperplaneId(FAMILY_NAMES[f - 1], i + 1)
+                for f, i in zip(fam_seq, labels)
             )
         pos = steps[step]
-        # the twin's bit; label 0 (no twin yet) clears nothing
-        candidates = full[pos] & ~(1 << labels[twins[pos]] >> 1)
+        candidates = full[pos] & ~(1 << labels[twins[pos]])
         for s, rows, must_be_present in checks[pos]:
             row = rows[labels[s]]
             candidates &= row if must_be_present else ~row
         while candidates:
             low = candidates & -candidates
-            labels[pos] = low.bit_length()
+            labels[pos] = low.bit_length() - 1
             result = assign(step + 1)
             if result is not None:
                 return result
@@ -222,9 +176,9 @@ def has_hyp_star(X: VarietyOfLines, n: int):
     """
     if n < 4:
         raise BadN(f"cycle length must be at least 4, got {n}")
-    line_rows = _line_rows(X)
+    masks = line_masks(X)
     for fam_seq in _PATTERN_FAMILY_SEQS.get(n, ()):
-        witness = _find_pattern(X.d, line_rows, fam_seq)
+        witness = _find_pattern(X.d, masks, fam_seq)
         if witness is not None:
             return False, witness
     return True, None
@@ -234,6 +188,7 @@ def has_hyp_star(X: VarietyOfLines, n: int):
 # route 3: numeric conditions on the multiplicity tensor
 # ---------------------------------------------------------------------------
 #
+# m3, m2, m1 are the bit rows of slice matrices 3, 2, 1 (M.slices).
 # Each mu(i, j, k) == v test over k is a level mask: the set of k with
 # mu(i, j, k) = v. With x = m2[i] and y = m1[j], the rows over k, and
 # e = m3[i][j], mu = e + x_k + y_k, so level v needs v - e of the two
@@ -241,11 +196,9 @@ def has_hyp_star(X: VarietyOfLines, n: int):
 # fixes its m3 entries first (its slice block), and then its inner loop
 # over k is the AND of the level masks it needs.
 
-def _view(M: MultiplicityTensor, order):
-    """The bit rows of slice matrices 3, 2, 1 of M.permuted(order), read
-    off M.masks (a flipped pair reads the columns)."""
-    masks = M.masks
-    return [masks[old][flip] for old, flip in family_permutation(order)[1]]
+def _rows(M: MultiplicityTensor):
+    """The bit rows of slice matrices 3, 2, 1 of M."""
+    return M.slices[3][0], M.slices[2][0], M.slices[1][0]
 
 
 def _pattern_witness(order, condition, *indices) -> dict:
@@ -275,7 +228,7 @@ def criterion_hyp4_numeric(M: MultiplicityTensor):
     AND, the c-set, is m2[a2] & ~m2[a1] & ~m1[b1].
     """
     for direction in (3, 2, 1):
-        rows = M.masks[direction][0]
+        rows = M.slices[direction][0]
         for r1, row1 in enumerate(rows, 1):
             for r2, row2 in enumerate(rows, 1):
                 if row1 & ~row2 and row2 & ~row1:  # so r1 != r2
@@ -285,18 +238,18 @@ def criterion_hyp4_numeric(M: MultiplicityTensor):
                         "cols": (_first(row1 & ~row2), _first(row2 & ~row1)),
                     }
     for order in ((1, 2, 3), (3, 1, 2), (2, 3, 1)):
-        r3, r2, r1 = _view(M, order)
+        r3, r2, r1 = _rows(M.permuted(order))
         for a1, (ab1, ac1) in enumerate(zip(r3, r2), 1):
             for a2, (ab2, ac2) in enumerate(zip(r3, r2), 1):
                 cs = ac2 & ~ac1  # empty when a1 == a2
                 if not cs:
                     continue
-                for b1 in _indices(ab1 & ~ab2):
-                    c = cs & ~r1[b1 - 1]
+                for b1 in _bits(ab1 & ~ab2):
+                    c = cs & ~r1[b1]
                     if c:
                         return False, _pattern_witness(
                             order, "doubled-{} tensor pattern",
-                            (a1, a2), (b1,), (_first(c),),
+                            (a1, a2), (b1 + 1,), (_first(c),),
                         )
     return True, None
 
@@ -313,22 +266,22 @@ def criterion_hyp5_numeric(M: MultiplicityTensor):
     the c-set, is ~m2[a1] & m2[a2] & m1[b1] & ~m1[b2].
     """
     for order in ((1, 2, 3), (1, 3, 2), (2, 3, 1)):
-        r3, r2, r1 = _view(M, order)
+        r3, r2, r1 = _rows(M.permuted(order))
         for a1, (ab1, ac1) in enumerate(zip(r3, r2), 1):
             for a2, (ab2, ac2) in enumerate(zip(r3, r2), 1):
                 cs = ac2 & ~ac1  # empty when a1 == a2
                 if not cs:
                     continue
-                for b1 in _indices(ab1 & ~ab2):
-                    cs1 = cs & r1[b1 - 1]
+                for b1 in _bits(ab1 & ~ab2):
+                    cs1 = cs & r1[b1]
                     if not cs1:
                         continue
-                    for b2 in _indices(ab1 & ab2):
-                        c = cs1 & ~r1[b2 - 1]
+                    for b2 in _bits(ab1 & ab2):
+                        c = cs1 & ~r1[b2]
                         if c:
                             return False, _pattern_witness(
                                 order, "doubled-{}-{} tensor pattern",
-                                (a1, a2), (b1, b2), (_first(c),),
+                                (a1, a2), (b1 + 1, b2 + 1), (_first(c),),
                             )
     return True, None
 
@@ -352,8 +305,7 @@ def criterion_hyp6_numeric(M: MultiplicityTensor):
     b2 over the bits (but b1) of the masks of a1 and a2 that are triples
     of row a2, both ascending, which is the order of the triples list.
     """
-    masks = M.masks
-    r3, r2, r1 = masks[3][0], masks[2][0], masks[1][0]
+    r3, r2, r1 = _rows(M)
     triples = [  # (a, b, level 3 at (a, b)), nonempty ones only
         (a, b, ac & bc)
         for a, (ab, ac) in enumerate(zip(r3, r2))
@@ -370,15 +322,15 @@ def criterion_hyp6_numeric(M: MultiplicityTensor):
     triple_rows: dict[int, int] = {}  # a -> the b with a nonempty level 3
     for a, b, _ in triples:
         triple_rows[a] = triple_rows.get(a, 0) | 1 << b
-    cols1 = masks[1][1]
+    cols1 = M.slices[1][1]
     at_k: dict[int, dict] = {}  # k -> a -> level 2 at (a, b, k) over b
     for a1, b1, ks1 in triples:
-        for c1 in _indices(ks1):
+        for c1 in _bits(ks1):
             at_c1 = at_k.get(c1)
             if at_c1 is None:
-                y, k = cols1[c1 - 1], c1 - 1
+                y = cols1[c1]
                 at_c1 = at_k[c1] = {
-                    a: r3[a] ^ y if r2[a] >> k & 1 else r3[a] & y
+                    a: r3[a] ^ y if r2[a] >> c1 & 1 else r3[a] & y
                     for a in triple_rows
                 }
             row1 = at_c1[a1] & ~(1 << b1)
@@ -388,8 +340,7 @@ def criterion_hyp6_numeric(M: MultiplicityTensor):
                 bs = row1 & row2 & triple_rows[a2]
                 if not bs or a2 == a1 or not row2 >> b1 & 1:
                     continue
-                for b2 in _indices(bs):
-                    b2 -= 1
+                for b2 in _bits(bs):
                     c = (
                         level3[a2, b2] & level2[a1][b1]
                         & level2[a1][b2] & level2[a2][b1]
@@ -399,7 +350,7 @@ def criterion_hyp6_numeric(M: MultiplicityTensor):
                             "condition": "double-triple tensor pattern",
                             "a": (a1 + 1, a2 + 1),
                             "b": (b1 + 1, b2 + 1),
-                            "c": (c1, _first(c)),
+                            "c": (c1 + 1, _first(c)),
                         }
     return True, None
 
@@ -445,22 +396,11 @@ class AcmVerdict:
 def acm_decision(X: VarietyOfLines) -> bool:
     """Whether X is ACM, by route 1 alone and without a certificate.
 
-    The complement of the incidence graph is built as adjacency bitmasks
-    in build_graph's vertex order (family-major: A1.., B1.., C1..)
-    straight from X's lines, and its chordality decided by the search
-    that is_chordal runs. For callers that need only the yes/no answer;
+    Runs is_chordal's search on the complement of build_graph's masks,
+    with no Graph built. For callers that need only the yes/no answer;
     is_acm runs all three routes and carries the witnesses.
     """
-    offsets = (0, X.d[0], X.d[0] + X.d[1])
-    n = sum(X.d)
-    incident = [1 << v for v in range(n)]  # each vertex, with its lines
-    for direction, (fam_p, fam_q) in DIRECTION_FAMILIES.items():
-        off_p, off_q = offsets[fam_p - 1] - 1, offsets[fam_q - 1] - 1
-        for p, q in X.u(direction):
-            incident[off_p + p] |= 1 << (off_q + q)
-            incident[off_q + q] |= 1 << (off_p + p)
-    full = (1 << n) - 1
-    return _mcs_failure([full ^ row for row in incident]) is None
+    return _mcs_failure(_complement_masks(_incidence_masks(X))) is None
 
 
 def is_acm(X: VarietyOfLines) -> AcmVerdict:

@@ -122,7 +122,7 @@ def _canonical(X: VarietyOfLines):
     """(literal-Ferrers relabeling of X, the FerrersCheck used)."""
     check = is_ferrers_variety(X)
     if not check.ok:
-        raise NotFerrers(f"not a Ferrers variety: {X}")
+        raise NotFerrers(f"not a Ferrers variety: d={X.d}, {X.line_count} lines")
     Y = check.relabeled(X)
     assert all(is_literal_ferrers(Y, h) for h in (1, 2, 3))
     return Y, check
@@ -222,9 +222,7 @@ def minimal_generators(X: VarietyOfLines) -> GeneratorSet:
     profile A-hyperplanes, b B-hyperplanes and c C-hyperplanes; original
     labels are reported even when the variety had to be relabeled.
     """
-    check = is_ferrers_variety(X)
-    if not check.ok:
-        raise NotFerrers(f"not a Ferrers variety: {X}")
+    _, check = _canonical(X)
     sets = degree_sets(X)
     degrees = tuple(sorted(sets.minimal))
     # inverse_prefixes[f] = original labels ordered by new label

@@ -4,31 +4,46 @@ The incidence graph has one vertex per hyperplane and one edge per line
 (joining the two hyperplanes that cut the line out); it is tripartite by
 construction. The package's main combinatorial criterion looks at the
 complement graph, where same-family vertex pairs are always adjacent.
+A graph is held as one adjacency bitmask per vertex, filled straight
+from X's lines, so the complement flips bits and the chordality search
+runs on the masks as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
-from .errors import SizeLimit
-from .variety import (
-    DIRECTION_FAMILIES,
-    FAMILY_NAMES,
-    HyperplaneId,
-    VarietyOfLines,
-)
+from .variety import DIRECTION_FAMILIES, FAMILY_NAMES, HyperplaneId, VarietyOfLines
 
-MAX_CYCLE_SEARCH_VERTICES = 18
+
+def _bits(mask: int):
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph with a fixed, ordered vertex tuple."""
+    """Simple undirected graph on a fixed, ordered vertex tuple, held as
+    adjacency bitmasks: bit m of masks[n] is set when vertices n and m
+    (positions in the tuple) are adjacent."""
 
-    vertices: tuple[HyperplaneId, ...]
-    edges: frozenset[tuple[HyperplaneId, HyperplaneId]]
+    vertices: tuple
+    masks: tuple[int, ...]
+
+    @classmethod
+    def from_edges(cls, vertices, edges) -> Graph:
+        """The graph on vertices with the given edges (vertex pairs)."""
+        vertices = tuple(vertices)
+        ordinal = {v: n for n, v in enumerate(vertices)}
+        masks = [0] * len(vertices)
+        for u, v in edges:
+            masks[ordinal[u]] |= 1 << ordinal[v]
+            masks[ordinal[v]] |= 1 << ordinal[u]
+        return cls(vertices, tuple(masks))
 
     @property
     def vertex_count(self) -> int:
@@ -36,62 +51,73 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(mask.bit_count() for mask in self.masks) // 2
+
+    @property
+    def edges(self) -> tuple:
+        """Every edge once, its earlier vertex first, in vertex order."""
+        vertices = self.vertices
+        return tuple(
+            (vertices[n], vertices[m])
+            for n, mask in enumerate(self.masks)
+            for m in _bits(mask >> (n + 1) << (n + 1))
+        )
 
     @cached_property
-    def ordinal(self) -> dict[HyperplaneId, int]:
+    def ordinal(self) -> dict:
         """Position of each vertex in the vertex tuple."""
-        return {v: i for i, v in enumerate(self.vertices)}
+        return {v: n for n, v in enumerate(self.vertices)}
 
-    @cached_property
-    def adj(self) -> dict[HyperplaneId, set[HyperplaneId]]:
-        """Neighbour set of each vertex."""
-        adj: dict[HyperplaneId, set[HyperplaneId]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+    def has_edge(self, u, v) -> bool:
+        n, m = self.ordinal.get(u), self.ordinal.get(v)
+        return n is not None and m is not None and bool(self.masks[n] >> m & 1)
 
-    def has_edge(self, u: HyperplaneId, v: HyperplaneId) -> bool:
-        return v in self.adj.get(u, ())
+
+def _incidence_masks(X: VarietyOfLines) -> list[int]:
+    """The incidence graph's adjacency bitmasks, in build_graph's vertex
+    order (family-major: A1.., B1.., C1..), from one pass over X's lines."""
+    offsets = (0, X.d[0], X.d[0] + X.d[1])
+    masks = [0] * sum(X.d)
+    for direction, (fam_p, fam_q) in DIRECTION_FAMILIES.items():
+        off_p, off_q = offsets[fam_p - 1] - 1, offsets[fam_q - 1] - 1
+        for p, q in X.u(direction):
+            masks[off_p + p] |= 1 << (off_q + q)
+            masks[off_q + q] |= 1 << (off_p + p)
+    return masks
+
+
+def _complement_masks(masks) -> list[int]:
+    """The complement's adjacency bitmasks: each vertex's bits flipped,
+    but its own."""
+    full = (1 << len(masks)) - 1
+    return [full ^ (1 << n) ^ mask for n, mask in enumerate(masks)]
 
 
 def build_graph(X: VarietyOfLines) -> Graph:
-    """Incidence graph: vertices are hyperplanes, edges are lines.
-
-    Vertices are family-major and DIRECTION_FAMILIES pairs ascend, so
-    each edge lists its earlier vertex first."""
+    """Incidence graph: vertices are hyperplanes, edges are lines."""
     vertices = tuple(
-        HyperplaneId(FAMILY_NAMES[f - 1], i)
-        for f in (1, 2, 3)
-        for i in range(1, X.d[f - 1] + 1)
+        HyperplaneId(name, i)
+        for name, count in zip(FAMILY_NAMES, X.d)
+        for i in range(1, count + 1)
     )
-    edges = set()
-    for direction, (fam_p, fam_q) in DIRECTION_FAMILIES.items():
-        for p, q in X.u(direction):
-            u = HyperplaneId(FAMILY_NAMES[fam_p - 1], p)
-            v = HyperplaneId(FAMILY_NAMES[fam_q - 1], q)
-            edges.add((u, v))
-    return Graph(vertices=vertices, edges=frozenset(edges))
+    return Graph(vertices, tuple(_incidence_masks(X)))
 
 
 def complement(G: Graph) -> Graph:
-    edges = frozenset(
-        (u, v) for u, v in combinations(G.vertices, 2) if not G.has_edge(u, v)
-    )
-    return Graph(vertices=G.vertices, edges=edges)
+    return Graph(G.vertices, tuple(_complement_masks(G.masks)))
 
 
 def is_induced_cycle(G: Graph, cycle) -> bool:
     """Check that the vertex sequence is a chordless cycle of G."""
-    n = len(cycle)
-    if n < 4 or len(set(cycle)) != n:
+    n, ordinal = len(cycle), G.ordinal
+    if n < 4 or len(set(cycle)) != n or not all(v in ordinal for v in cycle):
         return False
-    for i, j in combinations(range(n), 2):
-        consecutive = j - i in (1, n - 1)
-        if G.has_edge(cycle[i], cycle[j]) != consecutive:
-            return False
-    return True
+    at = [ordinal[v] for v in cycle]
+    on_cycle = sum(1 << x for x in at)
+    return all(
+        G.masks[x] & on_cycle == 1 << at[i - 1] | 1 << at[(i + 1) % n]
+        for i, x in enumerate(at)
+    )
 
 
 def canonical_cycle(cycle, ordinal) -> tuple:
@@ -155,7 +181,7 @@ def is_chordal(G: Graph):
 
     Returns (True, None) or (False, cycle) where the cycle is a
     chordless cycle of length >= 4, canonicalized. The search itself is
-    _mcs_failure, on the vertices' positions in G.vertices.
+    _mcs_failure, on G.masks.
 
     Why the certificate always exists: in a maximum cardinality search
     order, G is chordal iff every vertex's earlier neighbours are all
@@ -166,89 +192,49 @@ def is_chordal(G: Graph):
     and u, w are not adjacent, so with v it is a chordless cycle of
     length >= 4.
     """
-    ordinal, adj = G.ordinal, G.adj
-    masks = [sum(1 << ordinal[w] for w in adj[v]) for v in G.vertices]
-    failure = _mcs_failure(masks)
+    failure = _mcs_failure(G.masks)
     if failure is None:
         return True, None
-    v, u, w, pos = failure
-    vertices = G.vertices
-    return False, _extract_cycle(G, pos, vertices[v], vertices[u], vertices[w])
+    return False, _extract_cycle(G, *failure)
 
 
-def _extract_cycle(G, pos, v, u, w):
+def _extract_cycle(G, v, u, w, pos):
     """Chordless cycle through v from a failed elimination check.
 
     u and w are earlier neighbors of v that are non-adjacent; a shortest
     u-w path avoiding N[v] among earlier vertices closes an induced
-    cycle. pos lists the search step of each vertex by its position in
-    G.vertices.
+    cycle, found breadth-first with neighbours taken in ascending
+    position. v, u, w are positions in G.vertices, and pos[n] is the
+    search step of vertex n.
     """
-    ordinal = G.ordinal
-    allowed = {
-        x for x in G.vertices
-        if pos[ordinal[x]] < pos[ordinal[v]] and x not in G.adj[v]
-    }
-    allowed |= {u, w}
+    masks = G.masks
+    earlier = sum(1 << x for x, step in enumerate(pos) if step < pos[v])
+    allowed = earlier & ~masks[v] | 1 << u | 1 << w
     parent = {u: None}
+    reached = 1 << u
     frontier = [u]
-    while frontier and w not in parent:
+    while frontier and not reached >> w & 1:
         nxt = []
         for x in frontier:
-            for y in sorted(G.adj[x] & allowed, key=lambda t: ordinal[t]):
-                if y not in parent:
-                    parent[y] = x
-                    nxt.append(y)
+            for y in _bits(masks[x] & allowed & ~reached):
+                parent[y] = x
+                nxt.append(y)
+            reached |= masks[x] & allowed
         frontier = nxt
     path = [w]
-    while parent.get(path[-1]) is not None:
+    while parent[path[-1]] is not None:
         path.append(parent[path[-1]])
-    path.reverse()
-    cycle = canonical_cycle([v] + path, ordinal)
+    vertices = G.vertices
+    cycle = canonical_cycle([vertices[x] for x in [v] + path[::-1]], G.ordinal)
     assert is_induced_cycle(G, cycle), cycle
     return cycle
-
-
-def chordless_cycles(G: Graph, max_len: int = 6) -> list[tuple]:
-    """All chordless cycles of length 4..max_len, canonicalized, sorted."""
-    if G.vertex_count > MAX_CYCLE_SEARCH_VERTICES:
-        raise SizeLimit(
-            f"cycle enumeration limited to {MAX_CYCLE_SEARCH_VERTICES} "
-            f"vertices, got {G.vertex_count}"
-        )
-    ordinal, adj = G.ordinal, G.adj
-    out = set()
-    for size in range(4, max_len + 1):
-        for subset in combinations(G.vertices, size):
-            sset = set(subset)
-            degs = {v: len(adj[v] & sset) for v in subset}
-            if any(d != 2 for d in degs.values()):
-                continue
-            # walk the 2-regular induced subgraph; connected iff one cycle
-            start = subset[0]
-            cycle = [start]
-            prev = None
-            while True:
-                nbrs = adj[cycle[-1]] & sset
-                nxt = sorted(
-                    (x for x in nbrs if x != prev),
-                    key=lambda t: ordinal[t],
-                )
-                prev = cycle[-1]
-                if nxt[0] == start:
-                    break
-                cycle.append(nxt[0])
-            if len(cycle) == size:
-                out.add(canonical_cycle(cycle, ordinal))
-    return sorted(out, key=lambda t: tuple(ordinal[v] for v in t))
 
 
 def graph_to_dot(G: Graph, name: str = "G") -> str:
     lines = [f"graph {name} {{"]
     for v in G.vertices:
         lines.append(f'  "{v}";')
-    ordinal = G.ordinal
-    for u, v in sorted(G.edges, key=lambda e: (ordinal[e[0]], ordinal[e[1]])):
+    for u, v in G.edges:
         lines.append(f'  "{u}" -- "{v}";')
     lines.append("}")
     return "\n".join(lines)

@@ -6,11 +6,12 @@ from __future__ import annotations
 from itertools import product
 
 from .criteria import is_acm  # noqa: F401  perfbench/selftest.py traces this binding
-from .errors import BadParameter
+from .errors import BadParameter, SizeLimit
 from .variety import (
     DIRECTION_FAMILIES,
     VarietyOfLines,
     _is_int,
+    check_box,
     compact,
     make_variety,
 )
@@ -27,21 +28,33 @@ def _variety(d, u) -> VarietyOfLines:
     return compact(make_variety(d, u[3], u[2], u[1]))
 
 
-def all_varieties():
-    """Every nonempty variety whose lines fit in the 2x2x2 box, compacted.
+# Most candidate lines all_varieties enumerates: 2^20 subsets.
+MAX_CANDIDATE_LINES = 20
 
-    Yields the 2^12 - 1 = 4,095 subsets of the 12 candidate lines in a
-    fixed order: bit b of a counter running from 1 selects the b-th
-    candidate, listed direction 3, 2, 1 and row-major.
+
+def all_varieties(box=(2, 2, 2)):
+    """Every nonempty variety whose lines fit in the box, compacted.
+
+    Returns an iterator over the 2^n - 1 subsets of the n candidate
+    lines of the box (4,095 for the default 2x2x2 box) in a fixed order:
+    bit b of a counter running from 1 selects the b-th candidate, listed
+    direction 3, 2, 1 and row-major. Raises SizeLimit, before yielding
+    anything, when n exceeds MAX_CANDIDATE_LINES.
     """
-    d = (2, 2, 2)
+    d = check_box(box)
     candidates = [(h, pair) for h in (3, 2, 1) for pair in _pairs(d, h)]
-    for bits in range(1, 1 << len(candidates)):
-        u = {3: set(), 2: set(), 1: set()}
-        for b, (h, pair) in enumerate(candidates):
-            if bits >> b & 1:
-                u[h].add(pair)
-        yield _variety(d, u)
+    if len(candidates) > MAX_CANDIDATE_LINES:
+        raise SizeLimit(
+            f"the box {d} has {len(candidates)} candidate lines, "
+            f"more than {MAX_CANDIDATE_LINES}"
+        )
+    return (
+        _variety(d, {
+            h: {p for b, (g, p) in enumerate(candidates) if g == h and bits >> b & 1}
+            for h in (3, 2, 1)
+        })
+        for bits in range(1, 1 << len(candidates))
+    )
 
 
 # Empty draws random_variety rejects before giving up on p.

@@ -18,6 +18,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import filterfalse, islice
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
@@ -123,6 +124,20 @@ class VarietyOfLines:
         )
 
 
+def line_masks(X: VarietyOfLines) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each direction's 0/1 slice matrix as bitmasks, (rows, cols):
+    rows[p - 1] has bit q - 1 set when (p, q) is a line of the
+    direction, and cols[q - 1] has bit p - 1 set."""
+    masks = {}
+    for direction, (fam_p, fam_q) in DIRECTION_FAMILIES.items():
+        rows, cols = [0] * X.d[fam_p - 1], [0] * X.d[fam_q - 1]
+        for p, q in X.u(direction):
+            rows[p - 1] |= 1 << (q - 1)
+            cols[q - 1] |= 1 << (p - 1)
+        masks[direction] = tuple(rows), tuple(cols)
+    return masks
+
+
 def make_variety(d, u3=(), u2=(), u1=()) -> VarietyOfLines:
     """Convenience constructor from plain iterables of pairs."""
     return VarietyOfLines(
@@ -140,11 +155,18 @@ EMPTY_VARIETY = make_variety((0, 0, 0))
 # validation and normalization
 # ---------------------------------------------------------------------------
 
+# Unused hyperplanes named in a report; the rest are counted.
+MAX_UNUSED_NAMES = 8
+
+
 def validation_errors(raw: Mapping) -> list[str]:
     """All structural problems of a raw input dict, as messages.
 
-    Unused hyperplane indices are reported too; callers decide whether
-    they are fatal (strict) or fixable by compaction.
+    Unused hyperplane indices are reported too, each message starting
+    "unused hyperplane": the first MAX_UNUSED_NAMES by name, then one
+    count of the rest, so the report takes O(lines) whatever d declares.
+    Callers decide whether they are fatal (strict) or fixable by
+    compaction.
     """
     if not isinstance(raw, Mapping):
         return [f"a variety must be a JSON object, got {type(raw).__name__}"]
@@ -183,13 +205,18 @@ def validation_errors(raw: Mapping) -> list[str]:
             seen.add((p, q))
             used[fam_p].add(p)
             used[fam_q].add(q)
-    for f in (1, 2, 3):
-        for i in range(1, d[f - 1] + 1):
-            if i not in used[f]:
-                problems.append(
-                    f"unused hyperplane {FAMILY_NAMES[f - 1]}{i}"
-                )
-    return problems
+    names = [  # each family's search passes at most its used indices
+        f"unused hyperplane {FAMILY_NAMES[f - 1]}{i}"
+        for f in (1, 2, 3)
+        for i in islice(
+            filterfalse(used[f].__contains__, range(1, d[f - 1] + 1)),
+            MAX_UNUSED_NAMES,
+        )
+    ][:MAX_UNUSED_NAMES]
+    unused = sum(d[f - 1] - len(used[f]) for f in (1, 2, 3))
+    if unused > len(names):
+        names.append(f"unused hyperplanes: {unused - len(names)} more")
+    return problems + names
 
 
 def check_box(box) -> tuple[int, int, int]:

@@ -1,8 +1,9 @@
 """Shared fixtures: the worked examples used across the suite, two
 session-scoped populations reused by several acceptance criteria,
 brute-force references for the witnesses of routes 2 and 3, the
-chordality search on vertex sets, and the generator scan over the whole
-box."""
+chordality search and chordless-cycle enumeration on vertex sets, the
+edge-set graphs and 0/1 slice matrices the package once built, and the
+generator scan over the whole box."""
 
 import itertools
 import random
@@ -12,6 +13,7 @@ import pytest
 from acmlines import (
     CriteriaDisagreement,
     HyperplaneId,
+    SizeLimit,
     all_varieties,
     build_graph,
     complement,
@@ -22,11 +24,11 @@ from acmlines import (
     stanley_reisner_complex,
 )
 from acmlines.criteria import _PATTERN_FAMILY_SEQS, _pattern_witness
-from acmlines.graphs import _extract_cycle
+from acmlines.graphs import canonical_cycle
 from acmlines.linalg import sparse_rank
 from acmlines.oracles import _boxrange, _grown_rows, _kernel3, _rank3
 from acmlines.sampling import random_variety
-from acmlines.variety import FAMILY_NAMES
+from acmlines.variety import DIRECTION_FAMILIES, FAMILY_NAMES
 
 # Fifteen lines; the A x B slice is a relabeled staircase of shape
 # (5, 4, 3, 1) but the B x C slice is a diagonal pair, so the variety
@@ -181,9 +183,10 @@ def _hyp4_by_mu(M):
     for order in ((1, 2, 3), (3, 1, 2), (2, 3, 1)):
         P = M.permuted(order)
         d1, d2, d3 = P.d
+        m3 = P.slice_matrix(3)
         for a1, a2 in _ordered_pairs(d1):
             for b1 in range(1, d2 + 1):
-                if P.m3[a1 - 1][b1 - 1] != 1 or P.m3[a2 - 1][b1 - 1] != 0:
+                if m3[a1 - 1][b1 - 1] != 1 or m3[a2 - 1][b1 - 1] != 0:
                     continue
                 for c1 in range(1, d3 + 1):
                     if P.mu(a1, b1, c1) == 1 and P.mu(a2, b1, c1) == 1:
@@ -206,9 +209,10 @@ def _hyp5_by_mu(M):
     for order in ((1, 2, 3), (1, 3, 2), (2, 3, 1)):
         P = M.permuted(order)
         d1, d2, d3 = P.d
+        m3 = P.slice_matrix(3)
         for a1, a2 in _ordered_pairs(d1):
             for b1, b2 in _ordered_pairs(d2):
-                if not block_ok(P.m3, a1, a2, b1, b2):
+                if not block_ok(m3, a1, a2, b1, b2):
                     continue
                 for c1 in range(1, d3 + 1):
                     if (
@@ -264,12 +268,23 @@ def numeric_by_mu(M, n):
     return {4: _hyp4_by_mu, 5: _hyp5_by_mu, 6: _hyp6_by_mu}[n](M)
 
 
+def adjacency_sets(G):
+    """The neighbour set of each vertex of G, read off G.edges."""
+    adj = {v: set() for v in G.vertices}
+    for u, v in G.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def is_chordal_by_sets(G):
     """is_chordal's verdict and certificate from a search on vertex sets
     and dicts: the whole maximum cardinality search order first (most
     visited neighbours, then lowest position in G.vertices), then the
-    Tarjan-Yannakakis check along it."""
-    ordinal, adj = G.ordinal, G.adj
+    Tarjan-Yannakakis check along it, then a breadth-first u-w path
+    through earlier vertices outside N(v), neighbours taken in vertex
+    order."""
+    ordinal, adj = G.ordinal, adjacency_sets(G)
     weight = {v: 0 for v in G.vertices}
     unvisited = set(G.vertices)
     order = []
@@ -290,9 +305,108 @@ def is_chordal_by_sets(G):
         missing = [w for w in earlier if w != u and w not in adj[u]]
         if missing:
             w = min(missing, key=lambda x: ordinal[x])
-            steps = [pos[x] for x in G.vertices]
-            return False, _extract_cycle(G, steps, v, u, w)
+            allowed = {x for x in order[:i] if x not in adj[v]} | {u, w}
+            parent = {u: None}
+            frontier = [u]
+            while frontier and w not in parent:
+                nxt = []
+                for x in frontier:
+                    for y in sorted(adj[x] & allowed, key=lambda t: ordinal[t]):
+                        if y not in parent:
+                            parent[y] = x
+                            nxt.append(y)
+                frontier = nxt
+            path = [w]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return False, canonical_cycle([v] + path[::-1], ordinal)
     return True, None
+
+
+MAX_CYCLE_SEARCH_VERTICES = 18
+
+
+def chordless_cycles(G, max_len=6):
+    """All chordless cycles of length 4..max_len, canonicalized, sorted:
+    every vertex subset of each size whose induced subgraph is one
+    cycle."""
+    if G.vertex_count > MAX_CYCLE_SEARCH_VERTICES:
+        raise SizeLimit(
+            f"cycle enumeration limited to {MAX_CYCLE_SEARCH_VERTICES} "
+            f"vertices, got {G.vertex_count}"
+        )
+    ordinal, adj = G.ordinal, adjacency_sets(G)
+    out = set()
+    for size in range(4, max_len + 1):
+        for subset in itertools.combinations(G.vertices, size):
+            sset = set(subset)
+            if any(len(adj[v] & sset) != 2 for v in subset):
+                continue
+            # walk the 2-regular induced subgraph; connected iff one cycle
+            start = subset[0]
+            cycle = [start]
+            prev = None
+            while True:
+                nbrs = adj[cycle[-1]] & sset
+                nxt = sorted(
+                    (x for x in nbrs if x != prev),
+                    key=lambda t: ordinal[t],
+                )
+                prev = cycle[-1]
+                if nxt[0] == start:
+                    break
+                cycle.append(nxt[0])
+            if len(cycle) == size:
+                out.add(canonical_cycle(cycle, ordinal))
+    return sorted(out, key=lambda t: tuple(ordinal[v] for v in t))
+
+
+def graph_by_edge_sets(X):
+    """X's incidence graph as (vertices, edges) the way build_graph once
+    made it: HyperplaneId vertices, family-major, and one edge per line
+    from its lower family to its higher one."""
+    vertices = tuple(
+        HyperplaneId(FAMILY_NAMES[f - 1], i)
+        for f in (1, 2, 3)
+        for i in range(1, X.d[f - 1] + 1)
+    )
+    edges = set()
+    for direction, (fam_p, fam_q) in DIRECTION_FAMILIES.items():
+        for p, q in X.u(direction):
+            u = HyperplaneId(FAMILY_NAMES[fam_p - 1], p)
+            v = HyperplaneId(FAMILY_NAMES[fam_q - 1], q)
+            edges.add((u, v))
+    return vertices, frozenset(edges)
+
+
+def complement_by_pairs(vertices, edges):
+    """The complement's edges, each vertex pair tested in turn."""
+    return frozenset(
+        (u, v) for u, v in itertools.combinations(vertices, 2)
+        if (u, v) not in edges and (v, u) not in edges
+    )
+
+
+def membership_matrices(X):
+    """X's 0/1 slice matrices by direction: entry (p - 1, q - 1) of
+    direction h is 1 when (p, q) is a line of that direction."""
+    matrices = {}
+    for direction, (fam_p, fam_q) in DIRECTION_FAMILIES.items():
+        cells = X.u(direction)
+        matrices[direction] = tuple(
+            tuple(1 if (r, c) in cells else 0 for c in range(1, X.d[fam_q - 1] + 1))
+            for r in range(1, X.d[fam_p - 1] + 1)
+        )
+    return matrices
+
+
+def mu_by_matrices(matrices, i, j, k):
+    """mu(i, j, k) as the overlay of the three 0/1 slice matrices."""
+    return (
+        matrices[3][i - 1][j - 1]
+        + matrices[2][i - 1][k - 1]
+        + matrices[1][j - 1][k - 1]
+    )
 
 
 def scan_unclipped(X, box):

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior via main(argv)."""
 
 import json
+import time
 
 import pytest
 
@@ -110,6 +111,21 @@ def test_check_warns_on_one_line(tmp_path, capsys):
         "unused hyperplane C1 (compacting)"
     ]
     assert json.loads(captured.out.splitlines()[0])["acm"] is True
+
+
+def test_check_bounds_the_unused_hyperplane_warning(tmp_path, capsys):
+    padded = tmp_path / "padded.json"
+    padded.write_text(
+        json.dumps({"d": [10**6, 1, 1], "U3": [[1, 1]], "U2": [], "U1": []}),
+        encoding="utf-8",
+    )
+    started = time.perf_counter()
+    assert main(["check", str(padded)]) == 0
+    assert time.perf_counter() - started < 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and len(err[0]) < 300
+    assert err[0].startswith("warning: unused hyperplane A2; ")
+    assert err[0].endswith("; unused hyperplanes: 999992 more (compacting)")
 
 
 @pytest.mark.parametrize(

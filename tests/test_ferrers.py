@@ -64,6 +64,16 @@ def test_repaired_example_is_not_ferrers_variety():
         degree_sets(REPAIRED_TRIPLE_POINTS)
 
 
+def test_not_ferrers_message_gives_d_and_the_line_count():
+    # the message does not grow with the lines
+    expected = "not a Ferrers variety: d=(2, 2, 2), 10 lines"
+    with pytest.raises(NotFerrers) as degrees:
+        degree_sets(REPAIRED_TRIPLE_POINTS)
+    with pytest.raises(NotFerrers) as generators:
+        minimal_generators(REPAIRED_TRIPLE_POINTS)
+    assert str(degrees.value) == str(generators.value) == expected
+
+
 def test_relabeled_staircase_recognized():
     stair = make_variety(
         (2, 2, 1),

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from acmlines import (
     all_varieties,
     build_graph,
-    chordless_cycles,
     complement,
     graph_to_dot,
     is_acm,
@@ -20,6 +19,7 @@ from conftest import (
     DIAGONAL_PAIR_PLUS_ONE,
     REPAIRED_TRIPLE_POINTS,
     TWO_TRIPLE_POINTS,
+    chordless_cycles,
     is_chordal_by_sets,
 )
 
@@ -67,16 +67,13 @@ def test_triple_point_complement_has_six_cycle():
 
 
 def test_path_graph_is_chordal():
-    G = Graph(vertices=(1, 2, 3, 4), edges=frozenset({(1, 2), (2, 3), (3, 4)}))
+    G = Graph.from_edges((1, 2, 3, 4), {(1, 2), (2, 3), (3, 4)})
     ok, cycle = is_chordal(G)
     assert ok and cycle is None
 
 
 def test_four_cycle_not_chordal():
-    G = Graph(
-        vertices=(1, 2, 3, 4),
-        edges=frozenset({(1, 2), (2, 3), (3, 4), (1, 4)}),
-    )
+    G = Graph.from_edges((1, 2, 3, 4), {(1, 2), (2, 3), (3, 4), (1, 4)})
     ok, cycle = is_chordal(G)
     assert not ok
     assert is_induced_cycle(G, cycle)
@@ -85,10 +82,7 @@ def test_four_cycle_not_chordal():
 
 
 def test_chordal_after_adding_chord():
-    G = Graph(
-        vertices=(1, 2, 3, 4),
-        edges=frozenset({(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)}),
-    )
+    G = Graph.from_edges((1, 2, 3, 4), {(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)})
     ok, _ = is_chordal(G)
     assert ok
     assert chordless_cycles(G) == []
@@ -119,13 +113,13 @@ def _labelled_graphs(n):
     pairs = list(combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
         edges = frozenset(e for b, e in enumerate(pairs) if bits >> b & 1)
-        yield Graph(vertices=tuple(range(n)), edges=edges)
+        yield Graph.from_edges(range(n), edges)
 
 
 def _random_graph(rng):
     n, p = rng.randint(7, 11), rng.random()
     edges = frozenset(e for e in combinations(range(n), 2) if rng.random() < p)
-    return Graph(vertices=tuple(range(n)), edges=edges)
+    return Graph.from_edges(range(n), edges)
 
 
 def test_chordality_certificate_matches_exhaustive_search():
@@ -149,7 +143,7 @@ def graphs(draw, max_vertices=9):
     vertices = draw(st.permutations(range(draw(st.integers(0, max_vertices)))))
     pairs = list(combinations(sorted(vertices), 2))
     edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    return Graph(vertices=tuple(vertices), edges=frozenset(edges))
+    return Graph.from_edges(vertices, edges)
 
 
 @given(graphs())

@@ -11,7 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 from acmlines import (
     BoxTooSmallWarning,
     acm_decision,
+    build_graph,
     compact,
+    complement,
     degree_sets,
     delta_hilbert,
     detect_complete_intersection,
@@ -37,7 +39,16 @@ from acmlines import (
 from acmlines.oracles import _boxrange, _kernel3
 from acmlines.sampling import random_variety
 from acmlines.criteria import _NUMERIC_CRITERIA
-from conftest import first_pattern_by_product, numeric_by_mu, scan_unclipped
+from acmlines.graphs import Graph
+from conftest import (
+    complement_by_pairs,
+    first_pattern_by_product,
+    graph_by_edge_sets,
+    membership_matrices,
+    mu_by_matrices,
+    numeric_by_mu,
+    scan_unclipped,
+)
 
 FAMILY_ORDERS = list(itertools.permutations((1, 2, 3)))
 
@@ -112,6 +123,39 @@ def raw_varieties(draw, dmax=6):
 @settings(max_examples=200, deadline=None)
 def test_acm_decision_matches_is_acm(X):
     assert acm_decision(X) == is_acm(X).acm
+
+
+@given(raw_varieties())
+@example(make_variety((0, 0, 0)))
+@example(make_variety((3, 0, 2), u2={(1, 1), (3, 2)}))  # no B, A2 unused
+@settings(max_examples=150, deadline=None)
+def test_graph_masks_match_the_edge_sets(X):
+    vertices, edges = graph_by_edge_sets(X)
+    G = build_graph(X)
+    assert G == Graph.from_edges(vertices, edges)
+    assert G.vertices == vertices and G.edges == tuple(sorted(
+        edges, key=lambda e: (vertices.index(e[0]), vertices.index(e[1]))
+    ))
+    co_edges = complement_by_pairs(vertices, edges)
+    Gc = complement(G)
+    assert Gc == Graph.from_edges(vertices, co_edges)
+    assert frozenset(Gc.edges) == co_edges and len(Gc.edges) == len(co_edges)
+
+
+@given(raw_varieties(dmax=4))
+@example(make_variety((0, 0, 0)))
+@example(make_variety((3, 0, 2), u2={(1, 1), (3, 2)}))
+@settings(max_examples=100, deadline=None)
+def test_tensor_matches_the_membership_matrices(X):
+    M = multiplicity_tensor(X)
+    for sigma in FAMILY_ORDERS:
+        Y = permute_families(X, sigma)
+        P = M.permuted(sigma)
+        matrices = membership_matrices(Y)
+        assert P.d == Y.d
+        assert {h: P.slice_matrix(h) for h in (1, 2, 3)} == matrices
+        for cell in itertools.product(*(range(1, n + 1) for n in Y.d)):
+            assert P.mu(*cell) == mu_by_matrices(matrices, *cell)
 
 
 @given(varieties())

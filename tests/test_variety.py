@@ -5,14 +5,17 @@ import json
 import pytest
 
 from acmlines import (
+    BadParameter,
     DuplicateLine,
     EMPTY_VARIETY,
     EmptyPointSet,
     HyperplaneId,
     OutOfBounds,
+    SizeLimit,
     UnknownHyperplane,
     UnusedHyperplane,
     UnusedHyperplaneWarning,
+    all_varieties,
     compact,
     direction_slice,
     grid_from_points,
@@ -84,6 +87,19 @@ def test_validation_errors_message_list():
     raw = {"d": [1, 1, 1], "U3": [[5, 1]], "U2": [], "U1": []}
     messages = validation_errors(raw)
     assert messages and any("U3" in m for m in messages)
+
+
+def test_unused_hyperplanes_are_named_up_to_eight_then_counted():
+    raw = {"d": [5, 5, 5], "U3": [[1, 1]], "U2": [], "U1": []}
+    names = [f"{f}{i}" for f in "AB" for i in range(2, 6)]
+    expected = [f"unused hyperplane {name}" for name in names]
+    expected.append("unused hyperplanes: 5 more")  # C1..C5
+    assert validation_errors(raw) == expected
+    with pytest.raises(UnusedHyperplane) as strict:
+        validate(raw, strict=True)
+    assert str(strict.value) == "; ".join(expected)
+    with pytest.warns(UnusedHyperplaneWarning):
+        assert validate(raw).d == (1, 1, 0)
 
 
 def test_compact_is_idempotent():
@@ -227,3 +243,18 @@ def test_empty_variety_properties():
 def test_hyperplane_id_str():
     assert str(HyperplaneId("A", 1)) == "A1"
     assert str(HyperplaneId("C", 12)) == "C12"
+
+
+def test_all_varieties_of_a_box():
+    population = list(all_varieties((1, 1, 2)))  # 5 candidate lines
+    assert len(population) == 2**5 - 1
+    assert all(X.is_compact() and X.d[2] <= 2 for X in population)
+    assert next(all_varieties()) == make_variety((1, 1, 0), u3={(1, 1)})
+    assert list(all_varieties((0, 3, 0))) == []  # no candidate line
+
+
+def test_all_varieties_refuses_large_boxes_before_yielding():
+    with pytest.raises(SizeLimit):
+        all_varieties((2, 3, 3))  # 21 candidate lines
+    with pytest.raises(BadParameter):
+        all_varieties((2, -1, 2))
