@@ -23,7 +23,7 @@ from .sampling import check_sampling, random_variety
 from .variety import (
     VarietyOfLines,
     _is_int,
-    check_box,
+    check_table_box,
     variety_to_dict,
     variety_to_json,
 )
@@ -103,7 +103,7 @@ def run_hf_experiment(
     """
     if not (_is_int(trials) and trials >= 0):
         raise BadParameter(f"trials must be a non-negative integer, got {trials!r}")
-    box = check_box(box)
+    box = check_table_box(box)
     check_sampling(dmax, p)
     rng = random.Random(seed)
     report = ExperimentReport(trials=trials, box=box, seed=seed)

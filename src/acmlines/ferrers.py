@@ -22,8 +22,7 @@ from .variety import (
     FAMILY_NAMES,
     FRONT_ORDERS,
     VarietyOfLines,
-    box_table,
-    check_box,
+    check_table_box,
     compact,
     make_variety,
     permute_families,
@@ -249,12 +248,23 @@ def minimal_generators(X: VarietyOfLines) -> GeneratorSet:
 # ---------------------------------------------------------------------------
 
 def delta_hilbert(X: VarietyOfLines, box) -> list:
-    """0/1 array over the box: 0 where some minimal degree divides."""
-    box = check_box(box)  # a bad box is reported before a non-Ferrers X
+    """0/1 array over the box: 0 where some minimal degree divides.
+
+    Row (i, j) is 0 from the least k of a minimal degree m with
+    m_i <= i and m_j <= j on (1 before it), so each row is filled from
+    the minimal degrees instead of testing each cell against them."""
+    # a bad or oversized box is reported before a non-Ferrers X
+    bi, bj, bk = check_table_box(box)
     minimal = degree_sets(X).minimal
-    return box_table(
-        box, lambda deg: 0 if any(_leq(m, deg) for m in minimal) else 1
-    )
+    size = bk + 1
+    table = []
+    for i in range(bi + 1):
+        plane = []
+        for j in range(bj + 1):
+            first = min([size] + [m[2] for m in minimal if m[0] <= i and m[1] <= j])
+            plane.append([1] * first + [0] * (size - first))
+        table.append(plane)
+    return table
 
 
 def hilbert_function(X: VarietyOfLines, box) -> list:

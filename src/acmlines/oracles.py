@@ -9,7 +9,9 @@ fast path computes the same rank through the tensor structure of the
 point conditions, using only integer arithmetic. It works on a view of
 the variety with its saturated factors first (f is saturated at deg when
 d_f <= deg_f + 1, so the value nodes include every hyperplane of f) and
-splits the problem along the first of them.
+splits the problem along the first of them. Each node's problem lives in
+the other two degrees alone, so a table pays for each such pair once
+and every further degree of f is one lookup.
 
 The generator scan counts minimal ideal generators per multidegree as
 dim I_t minus the dimension spanned by degree-one multiples of lower
@@ -248,15 +250,24 @@ def _rank3(deg, X: VarietyOfLines, memo) -> int:
         # no factor saturated: dense, but then all degrees are small
         sizes = tuple(t + 1 for t in deg)
         return bareiss_rank(_condition_rows(sizes, _line_conditions(X)))
-    _, pick, rows, cols, points, d2 = view
+    order, pick, rows, cols, points, d2 = view
     i, j, k = pick(deg)
-    # the nodes past d_f = len(rows) carry no rows or columns, so they
-    # all pose one problem
-    total = sum(_rank2((j, k), r, c, points, d2, memo) for r, c in zip(rows, cols))
+    # The sum over the d_f = len(rows) front nodes and the rank at an
+    # empty node depend on the view and (j, k), not on i, so both are
+    # kept per (j, k); the empty rank, which may be a dense block, only
+    # once some i needs it. The nodes past d_f carry no rows or
+    # columns, so they all pose the empty node's problem.
+    key = ("sum", order, j, k)
+    sums = memo.get(key)
+    if sums is None:
+        front = sum(_rank2((j, k), r, c, points, d2, memo) for r, c in zip(rows, cols))
+        sums = memo[key] = [front, None]
     free = i + 1 - len(rows)
-    if free:
-        total += free * _rank2((j, k), _NONE, _NONE, points, d2, memo)
-    return total
+    if not free:
+        return sums[0]
+    if sums[1] is None:
+        sums[1] = _rank2((j, k), _NONE, _NONE, points, d2, memo)
+    return sums[0] + free * sums[1]
 
 
 def hilbert_oracle_at(X: VarietyOfLines, deg) -> int:

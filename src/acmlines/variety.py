@@ -18,7 +18,8 @@ import json
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import filterfalse, islice
+from itertools import chain, filterfalse, islice
+from math import prod
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
@@ -27,6 +28,7 @@ from .errors import (
     DuplicateLine,
     EmptyPointSet,
     OutOfBounds,
+    SizeLimit,
     UnknownHyperplane,
     BadPermutation,
     UnusedHyperplane,
@@ -107,21 +109,25 @@ class VarietyOfLines:
 
     def used_indices(self, family) -> set[int]:
         """Indices of one family that appear in at least one line."""
-        f = _family_number(family)
-        used: set[int] = set()
-        for direction, (fam_p, fam_q) in DIRECTION_FAMILIES.items():
-            for p, q in self.u(direction):
-                if fam_p == f:
-                    used.add(p)
-                if fam_q == f:
-                    used.add(q)
-        return used
+        return _used_sets(self)[_family_number(family) - 1]
 
     def is_compact(self) -> bool:
-        return all(
-            self.used_indices(f) == set(range(1, self.d[f - 1] + 1))
-            for f in (1, 2, 3)
-        )
+        return _all_used(_used_sets(self), self.d)
+
+
+def _used_sets(X: VarietyOfLines) -> tuple[set[int], set[int], set[int]]:
+    """The used indices of families A, B, C, in one pass over the lines."""
+    return (
+        {p for p, _ in chain(X.U3, X.U2)},
+        {q for _, q in X.U3} | {p for p, _ in X.U1},
+        {q for _, q in chain(X.U2, X.U1)},
+    )
+
+
+def _all_used(used, d) -> bool:
+    """Does each family f use d_f indices? __post_init__ keeps every
+    index in 1..d_f, so the counts decide it."""
+    return all(len(indices) == n for indices, n in zip(used, d))
 
 
 def line_masks(X: VarietyOfLines) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -227,10 +233,28 @@ def check_box(box) -> tuple[int, int, int]:
     return box
 
 
+# Most cells of a Hilbert table (hilbert_oracle, delta_hilbert,
+# hilbert_function): a box of (b1 + 1)(b2 + 1)(b3 + 1) cells, such as
+# (46, 46, 46), is refused before any work. Every box the tests, the
+# benchmark and the CLI defaults use has at most 343 cells.
+MAX_BOX_CELLS = 100_000
+
+
+def check_table_box(box) -> tuple[int, int, int]:
+    """check_box, and SizeLimit for a box of more than MAX_BOX_CELLS cells."""
+    box = check_box(box)
+    cells = prod(b + 1 for b in box)
+    if cells > MAX_BOX_CELLS:
+        raise SizeLimit(
+            f"box {box} has {cells} cells, more than {MAX_BOX_CELLS}"
+        )
+    return box
+
+
 def box_table(box, value) -> list:
     """The table T[i][j][k] = value((i, j, k)) over a degree box
-    (inclusive bounds, checked by check_box), filled in that order."""
-    bi, bj, bk = check_box(box)
+    (inclusive bounds, checked by check_table_box), filled in that order."""
+    bi, bj, bk = check_table_box(box)
     return [
         [[value((i, j, k)) for k in range(bk + 1)] for j in range(bj + 1)]
         for i in range(bi + 1)
@@ -279,14 +303,17 @@ def _renumber(X: VarietyOfLines, d, maps) -> VarietyOfLines:
 
 
 def compact(X: VarietyOfLines) -> VarietyOfLines:
-    """Renumber each family's used indices to 1..n, preserving order."""
-    maps = {}
-    new_d = []
-    for f in (1, 2, 3):
-        used = sorted(X.used_indices(f))
-        maps[f] = {old: new for new, old in enumerate(used, start=1)}
-        new_d.append(len(used))
-    return _renumber(X, tuple(new_d), maps)
+    """Renumber each family's used indices to 1..n, preserving order.
+
+    Returns X itself when it is compact already."""
+    used = _used_sets(X)
+    if _all_used(used, X.d):
+        return X
+    maps = {
+        f: {old: new for new, old in enumerate(sorted(indices), start=1)}
+        for f, indices in zip((1, 2, 3), used)
+    }
+    return _renumber(X, tuple(map(len, used)), maps)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 session-scoped populations reused by several acceptance criteria,
 brute-force references for the witnesses of routes 2 and 3, the
 chordality search and chordless-cycle enumeration on vertex sets, the
-edge-set graphs and 0/1 slice matrices the package once built, and the
-generator scan over the whole box."""
+edge-set graphs and 0/1 slice matrices the package once built, the
+generator scan over the whole box, and the Hilbert tables and
+compaction as they were computed cell by cell and family by family."""
 
 import itertools
 import random
@@ -25,10 +26,27 @@ from acmlines import (
 )
 from acmlines.criteria import _PATTERN_FAMILY_SEQS, _pattern_witness
 from acmlines.graphs import canonical_cycle
-from acmlines.linalg import sparse_rank
-from acmlines.oracles import _boxrange, _grown_rows, _kernel3, _rank3
+from acmlines.ferrers import _leq, degree_sets
+from acmlines.linalg import bareiss_rank, sparse_rank
+from acmlines.oracles import (
+    _NONE,
+    _boxrange,
+    _condition_rows,
+    _front_view,
+    _grown_rows,
+    _kernel3,
+    _line_conditions,
+    _rank2,
+    _rank3,
+)
 from acmlines.sampling import random_variety
-from acmlines.variety import DIRECTION_FAMILIES, FAMILY_NAMES
+from acmlines.variety import (
+    DIRECTION_FAMILIES,
+    FAMILY_NAMES,
+    _renumber,
+    box_table,
+    check_box,
+)
 
 # Fifteen lines; the A x B slice is a relabeled staircase of shape
 # (5, 4, 3, 1) but the B x C slice is a diagonal pair, so the variety
@@ -422,6 +440,54 @@ def scan_unclipped(X, box):
             if count:
                 found[t] = count
     return found
+
+
+def _rank3_by_nodes(deg, X, memo):
+    """_rank3 as one _rank2 sum over the front nodes at every degree,
+    before the sum was kept per (j, k)."""
+    view = _front_view(deg, X, memo)
+    if view is None:
+        sizes = tuple(t + 1 for t in deg)
+        return bareiss_rank(_condition_rows(sizes, _line_conditions(X)))
+    _, pick, rows, cols, points, d2 = view
+    i, j, k = pick(deg)
+    total = sum(_rank2((j, k), r, c, points, d2, memo) for r, c in zip(rows, cols))
+    free = i + 1 - len(rows)
+    if free:
+        total += free * _rank2((j, k), _NONE, _NONE, points, d2, memo)
+    return total
+
+
+def hilbert_oracle_by_nodes(X, box):
+    """hilbert_oracle's table, each cell summed node by node."""
+    memo = {}
+    return box_table(box, lambda deg: _rank3_by_nodes(deg, X, memo))
+
+
+def delta_hilbert_by_leq(X, box):
+    """delta_hilbert's table, each cell tested against every minimal
+    degree."""
+    box = check_box(box)
+    minimal = degree_sets(X).minimal
+    return box_table(
+        box, lambda deg: 0 if any(_leq(m, deg) for m in minimal) else 1
+    )
+
+
+def compact_by_renumbering(X):
+    """compact's result by renumbering every family, compact or not,
+    each family's used indices read off the lines on their own."""
+    maps, new_d = {}, []
+    for f in (1, 2, 3):
+        used = sorted({
+            pair[side]
+            for direction, families in DIRECTION_FAMILIES.items()
+            for side, g in enumerate(families) if g == f
+            for pair in X.u(direction)
+        })
+        maps[f] = {old: new for new, old in enumerate(used, start=1)}
+        new_d.append(len(used))
+    return _renumber(X, tuple(new_d), maps)
 
 
 def all_small_varieties():

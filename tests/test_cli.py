@@ -5,7 +5,13 @@ import time
 
 import pytest
 
-from acmlines import CriteriaDisagreement, criteria, is_acm, variety_to_json
+from acmlines import (
+    CriteriaDisagreement,
+    criteria,
+    is_acm,
+    make_variety,
+    variety_to_json,
+)
 from acmlines.cli import build_parser, main
 from conftest import (
     CI_EXAMPLE,
@@ -154,6 +160,20 @@ def test_hilbert_negative_box_exit_two(variety_file, capsys):
         assert "box must be three non-negative integers" in captured.err
 
 
+def test_hilbert_refuses_an_oversized_box_at_once(variety_file, capsys):
+    path = variety_file(make_variety((1, 1, 0), u3={(1, 1)}))  # one line
+    for method in ("corollary", "oracle"):
+        started = time.monotonic()
+        rc = main(["hilbert", path, "--box", "300", "300", "300", "--method", method])
+        elapsed = time.monotonic() - started
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: box (300, 300, 300) has 27270901 cells")
+        assert elapsed < 1.0
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -161,6 +181,7 @@ def test_hilbert_negative_box_exit_two(variety_file, capsys):
         (["--p", "1.5"], "line probability"),
         (["--dmax", "0"], "dmax"),
         (["--box", "3", "-1", "3"], "box"),
+        (["--box", "46", "46", "46"], "cells, more than"),
         (["--trials", "-3"], "trials"),
         (["--dmax", "1", "--p", "1e-300"], "no line kept"),
         (["--dmax", "17"], "dmax"),

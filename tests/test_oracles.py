@@ -1,6 +1,8 @@
 """Evaluation-rank Hilbert oracle, generator-degree scan, and the
 face-ring Cohen-Macaulay test."""
 
+import hashlib
+import json
 import random
 import time
 import warnings
@@ -16,8 +18,10 @@ from acmlines import (
     EmptyVariety,
     SizeLimit,
     degree_sets,
+    delta_hilbert,
     evaluation_matrix,
     generator_degree_scan,
+    hilbert_function,
     hilbert_oracle,
     hilbert_oracle_at,
     hilbert_oracle_naive,
@@ -38,6 +42,7 @@ from acmlines.oracles import (
     line_sample_points,
 )
 from acmlines.sampling import random_ferrers_variety, random_variety
+from acmlines.variety import MAX_BOX_CELLS, check_table_box
 from conftest import (
     DIAGONAL_PAIR_PLUS_ONE,
     FULL_BOX_432,
@@ -302,3 +307,43 @@ def test_hf_experiment_raises_when_the_screen_accepts_a_non_acm_variety(monkeypa
     assert not is_acm(first).acm
     with pytest.raises(CriteriaDisagreement, match="is_acm rejects"):
         run_hf_experiment(trials=1, dmax=6, seed=5)
+
+
+def test_hilbert_tables_refuse_oversized_boxes_before_any_work():
+    assert check_table_box((99, 999, 0)) == (99, 999, 0)  # MAX_BOX_CELLS cells
+    assert 100 * 1000 == MAX_BOX_CELLS
+    with pytest.raises(SizeLimit):
+        check_table_box((99, 999, 1))
+    started = time.monotonic()
+    for table in (hilbert_oracle, hilbert_oracle_naive, delta_hilbert, hilbert_function):
+        with pytest.raises(SizeLimit, match="more than 100000"):
+            table(SINGLE_LINE, (300, 300, 300))
+    with pytest.raises(SizeLimit):
+        run_hf_experiment(trials=0, box=(46, 46, 46))
+    # a box that is too big is reported before a variety that is not Ferrers
+    with pytest.raises(SizeLimit):
+        delta_hilbert(DIAGONAL_PAIR_PLUS_ONE, (46, 46, 46))
+    assert time.monotonic() - started < 1.0
+    # the scan's work is clipped to d, so it takes any box
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoxTooSmallWarning)
+        assert generator_degree_scan(SINGLE_LINE, (300, 300, 300)) == {
+            (1, 0, 0): 1, (0, 1, 0): 1,
+        }
+
+
+# sha256 of the reports of run_hf_experiment(trials=1, dmax=6, p=0.4,
+# box=(4, 4, 4), seed=s) for s = 0..99, each as sorted-key JSON plus a
+# newline: the experiment workload's parameters. A change to the draws,
+# to compaction or to either Hilbert table changes it.
+EXPERIMENT_REPORTS_SHA256 = (
+    "7b4568b3bbfdff1c7bdb5b6fd556a111044cfa104c21e76407f4af52eda8d02b"
+)
+
+
+def test_seeded_experiment_reports_are_unchanged():
+    digest = hashlib.sha256()
+    for seed in range(100):
+        report = run_hf_experiment(trials=1, dmax=6, p=0.4, box=(4, 4, 4), seed=seed)
+        digest.update(json.dumps(report.to_dict(), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == EXPERIMENT_REPORTS_SHA256

@@ -9,6 +9,7 @@ import warnings
 from hypothesis import example, given, settings, strategies as st
 
 from acmlines import (
+    EMPTY_VARIETY,
     BoxTooSmallWarning,
     acm_decision,
     build_graph,
@@ -23,6 +24,7 @@ from acmlines import (
     hilbert_function,
     hilbert_difference,
     hilbert_oracle,
+    hilbert_oracle_at,
     is_acm,
     is_ferrers_variety,
     is_literal_ferrers,
@@ -41,9 +43,13 @@ from acmlines.sampling import random_variety
 from acmlines.criteria import _NUMERIC_CRITERIA
 from acmlines.graphs import Graph
 from conftest import (
+    FULL_BOX_432,
+    compact_by_renumbering,
     complement_by_pairs,
+    delta_hilbert_by_leq,
     first_pattern_by_product,
     graph_by_edge_sets,
+    hilbert_oracle_by_nodes,
     membership_matrices,
     mu_by_matrices,
     numeric_by_mu,
@@ -409,3 +415,58 @@ def test_kernels_sit_on_one_node_of_each_saturated_axis(X, box):
 def test_hilbert_difference_inverts_prefix_sum(X):
     box = (3, 2, 3)
     assert hilbert_difference(hilbert_function(X, box)) == delta_hilbert(X, box)
+
+
+BOXES = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
+
+
+@given(raw_varieties(dmax=5), BOXES, BOXES)
+@example(make_variety((0, 0, 0)), (2, 0, 1), (1, 0, 1))
+@example(make_variety((3, 0, 2), u2={(1, 1), (3, 2)}), (0, 4, 5), (0, 2, 5))
+@example(make_variety((4, 4, 4), u3={(1, 1), (4, 4)}, u1={(2, 3)}), (5, 5, 5), (1, 5, 2))
+@settings(max_examples=80, deadline=None)
+def test_oracle_equals_the_node_by_node_sum(X, box, cell):
+    # uncompacted draws, boxes smaller and larger than d on each axis
+    table = hilbert_oracle_by_nodes(X, box)
+    assert hilbert_oracle(X, box) == table
+    i, j, k = map(min, cell, box)
+    assert hilbert_oracle_at(X, (i, j, k)) == table[i][j][k]
+    bi, bj, bk = box
+    assert hilbert_oracle_at(X, box) == table[bi][bj][bk]
+
+
+@given(staircase_varieties(), BOXES, st.booleans())
+@example(EMPTY_VARIETY, (2, 0, 3), False)
+@example(FULL_BOX_432, (1, 2, 1), False)  # no minimal degree inside the box
+@example(FULL_BOX_432, (5, 0, 4), True)
+@settings(max_examples=80, deadline=None)
+def test_delta_hilbert_equals_the_cell_by_cell_test(X, box, reverse):
+    if reverse:  # a Ferrers variety that is no literal staircase
+        X = relabel(X, *(tuple(range(n, 0, -1)) for n in X.d))
+    assert delta_hilbert(X, box) == delta_hilbert_by_leq(X, box)
+
+
+@given(raw_varieties(), st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)), st.randoms())
+@example(make_variety((0, 0, 0)), (0, 0, 0), random.Random(0))
+@example(make_variety((2, 0, 1), u2={(1, 1), (2, 1)}), (1, 0, 2), random.Random(1))
+@settings(max_examples=100, deadline=None)
+def test_compact_renumbers_only_what_needs_it(X, extra, rng):
+    Y = compact_by_renumbering(X)
+    assert compact(X) == Y
+    assert X.is_compact() == (X == Y)
+    assert compact(Y) is Y and Y.is_compact()
+    # Y re-declared with unused hyperplanes, its used indices an
+    # increasing subset of the new range: compaction gives Y back
+    maps = [
+        dict(zip(range(1, n + 1), sorted(rng.sample(range(1, n + e + 1), n))))
+        for n, e in zip(Y.d, extra)
+    ]
+    a, b, c = maps
+    padded = make_variety(
+        tuple(map(sum, zip(Y.d, extra))),
+        {(a[i], b[j]) for i, j in Y.U3},
+        {(a[i], c[k]) for i, k in Y.U2},
+        {(b[j], c[k]) for j, k in Y.U1},
+    )
+    assert compact(padded) == compact_by_renumbering(padded) == Y
+    assert padded.is_compact() == (extra == (0, 0, 0))

@@ -111,6 +111,22 @@ def test_compact_is_idempotent():
     assert once.is_compact()
 
 
+def test_compact_returns_compact_input_as_it_is():
+    for X in (EMPTY_VARIETY, FULL_BOX_432, DIAGONAL_PAIR_PLUS_ONE):
+        assert compact(X) is X
+    once = compact(SINGLE_LINE)
+    assert once != SINGLE_LINE and compact(once) is once
+    # families with no hyperplanes: compact when the others are
+    no_b = make_variety((2, 0, 1), u2={(1, 1), (2, 1)})
+    assert no_b.is_compact() and compact(no_b) is no_b
+    padded = make_variety((3, 0, 2), u2={(1, 2), (3, 2)})
+    assert not padded.is_compact()
+    assert compact(padded) == no_b
+    hyperplanes_only = make_variety((2, 2, 2))
+    assert not hyperplanes_only.is_compact()
+    assert compact(hyperplanes_only) == EMPTY_VARIETY
+
+
 def test_direction_slice_preserves_labels():
     X = DIAGONAL_PAIR_PLUS_ONE
     sl = direction_slice(X, 3)
