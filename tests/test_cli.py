@@ -181,10 +181,10 @@ def test_hilbert_refuses_an_oversized_box_at_once(variety_file, capsys):
         (["--p", "1.5"], "line probability"),
         (["--dmax", "0"], "dmax"),
         (["--box", "3", "-1", "3"], "box"),
-        (["--box", "46", "46", "46"], "cells, more than"),
         (["--trials", "-3"], "trials"),
         (["--dmax", "1", "--p", "1e-300"], "no line kept"),
         (["--dmax", "17"], "dmax"),
+        (["--box", "46", "46", "46"], "cells, more than"),
     ],
 )
 def test_hf_experiment_bad_parameters_exit_two(capsys, args, message):
