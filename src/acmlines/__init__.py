@@ -61,11 +61,8 @@ from .graphs import (
 )
 from .oracles import (
     SimplicialComplex,
-    evaluation_matrix,
     generator_degree_scan,
     hilbert_oracle,
-    hilbert_oracle_at,
-    hilbert_oracle_naive,
     reisner_cm,
     stanley_reisner_complex,
 )

@@ -51,9 +51,9 @@ from .variety import (
 )
 
 
-def _load_variety(path: str, strict: bool = False):
+def _load_variety(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return variety_from_json(fh.read(), strict=strict)
+        return variety_from_json(fh.read())
 
 
 def cmd_check(args) -> int:

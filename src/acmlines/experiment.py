@@ -28,7 +28,7 @@ from .variety import (
     variety_to_json,
 )
 
-DEFAULT_ATTEMPTS_PER_TRIAL = 1000
+ATTEMPTS_PER_TRIAL = 1000
 
 
 @dataclass(frozen=True)
@@ -90,16 +90,16 @@ def run_hf_experiment(
     p: float = 0.4,
     out_dir=None,
     fixed_inputs: tuple[VarietyOfLines, ...] = (),
-    attempts_per_trial: int = DEFAULT_ATTEMPTS_PER_TRIAL,
 ) -> ExperimentReport:
     """Run the companion Hilbert-function comparison.
 
     Deterministic for a fixed seed. ``fixed_inputs`` are consumed
     before any random sampling, one per trial; they must be ACM.
-    Sampled candidates are screened by acm_decision (route 1 alone), and
-    every accepted variety, sampled or fixed, then goes through is_acm
-    once, so all three routes agree on each variety the report counts;
-    a disagreement raises CriteriaDisagreement.
+    Sampled candidates are screened by acm_decision (route 1 alone); a
+    trial that finds no ACM candidate in ATTEMPTS_PER_TRIAL draws is
+    skipped. Every accepted variety, sampled or fixed, then goes through
+    is_acm once, so all three routes agree on each variety the report
+    counts; a disagreement raises CriteriaDisagreement.
     """
     if not (_is_int(trials) and trials >= 0):
         raise BadParameter(f"trials must be a non-negative integer, got {trials!r}")
@@ -115,7 +115,7 @@ def run_hf_experiment(
                 continue
         else:
             X = None
-            for _ in range(attempts_per_trial):
+            for _ in range(ATTEMPTS_PER_TRIAL):
                 candidate = random_variety(rng, dmax, p)
                 if acm_decision(candidate):
                     X = candidate

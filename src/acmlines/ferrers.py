@@ -117,11 +117,17 @@ def is_ferrers_variety(X: VarietyOfLines) -> FerrersCheck:
     return FerrersCheck(ok=True, perms=tuple(perms))
 
 
-def _canonical(X: VarietyOfLines):
-    """(literal-Ferrers relabeling of X, the FerrersCheck used)."""
+def _ferrers_check(X: VarietyOfLines) -> FerrersCheck:
+    """is_ferrers_variety(X), raising NotFerrers when X is not Ferrers."""
     check = is_ferrers_variety(X)
     if not check.ok:
         raise NotFerrers(f"not a Ferrers variety: d={X.d}, {X.line_count} lines")
+    return check
+
+
+def _canonical(X: VarietyOfLines):
+    """(literal-Ferrers relabeling of X, the FerrersCheck used)."""
+    check = _ferrers_check(X)
     Y = check.relabeled(X)
     assert all(is_literal_ferrers(Y, h) for h in (1, 2, 3))
     return Y, check
@@ -175,16 +181,16 @@ def minimal_elements(triples) -> frozenset:
 def degree_sets(X: VarietyOfLines) -> DegreeSets:
     """Per-direction generator degrees and their combined minimal set.
 
-    Needs a Ferrers variety (a consistent relabeling is applied
-    internally; degrees do not depend on labels).
+    Needs a Ferrers variety. Row partitions do not depend on labels, so
+    they are read off X as it is labeled.
     """
-    Y, _ = _canonical(X)
+    _ferrers_check(X)
     by_direction = {}
     for h, families in DIRECTION_FAMILIES.items():
         # a point degree (p, q) of direction h, with 0 for the free family
         by_direction[h] = {
             tuple(dict(zip(families, pair)).get(f, 0) for f in (1, 2, 3))
-            for pair in points_generator_degrees(row_partition(Y, h))
+            for pair in points_generator_degrees(row_partition(X, h))
         }
     combined = frozenset(
         tuple(max(coords) for coords in zip(t3, t2, t1))

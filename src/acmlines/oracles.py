@@ -3,10 +3,10 @@
 The Hilbert oracle computes, for each multidegree, the rank of the
 evaluation matrix that pairs monomials with sample points on the lines
 (one factor's coordinate swept through deg+1 integer parameter values
-per line; hyperplane parameters are the integers 1, 2, 3, ...). A
-literal transcription of that matrix is kept as a slow reference; the
-fast path computes the same rank through the tensor structure of the
-point conditions, using only integer arithmetic. It works on a view of
+per line; hyperplane parameters are the integers 1, 2, 3, ...). The
+tests keep a literal transcription of that matrix as the reference; the
+oracle computes the same rank through the tensor structure of the point
+conditions, using only integer arithmetic. It works on a view of
 the variety with its saturated factors first (f is saturated at deg when
 d_f <= deg_f + 1, so the value nodes include every hyperplane of f) and
 splits the problem along the first of them. Each node's problem lives in
@@ -28,10 +28,12 @@ span I_t, and so no minimal generator lies past d (the proof is in
 generator_degree_scan). So the scan's work is bounded by d, not by the
 box.
 
-The face-ring route builds the vertex-decomposed simplicial complex
-whose facets are the vertex complements of the incidence-graph edges
-and checks Reisner's vanishing condition on link homology (over the
-rationals).
+The face-ring route builds the simplicial complex whose facets are the
+vertex complements of the incidence-graph edges, and checks Reisner's
+condition over the rationals in its Alexander-dual form: on the
+independence complexes of the induced subgraphs (see reisner_cm). It
+uses no chordality search, so it stays independent of the
+combinatorial routes.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product, zip_longest
+from itertools import product, zip_longest
 from math import comb, prod
 from operator import itemgetter
 
@@ -47,7 +49,7 @@ from .criteria import acm_decision
 from .criteria import is_acm  # noqa: F401  perfbench/selftest.py traces this binding
 from .errors import BoxTooSmallWarning, EmptyVariety, SizeLimit
 from .ferrers import _row_sets, degree_sets, ferrers_companion
-from .graphs import build_graph
+from .graphs import Graph, _bits, build_graph
 from .linalg import (
     bareiss_rank,
     extension_coeffs,
@@ -69,44 +71,6 @@ _NONE = frozenset()
 def _boxrange(box):
     bi, bj, bk = box
     return product(range(bi + 1), range(bj + 1), range(bk + 1))
-
-
-# ---------------------------------------------------------------------------
-# literal reference oracle
-# ---------------------------------------------------------------------------
-
-def line_sample_points(X: VarietyOfLines, deg) -> list[tuple[int, int, int]]:
-    """deg-dependent sample points: each line swept through its free
-    factor at the integer parameters 1..(free degree + 1)."""
-    i, j, k = deg
-    pts = []
-    for a, b in sorted(X.U3):
-        pts.extend((a, b, t) for t in range(1, k + 2))
-    for a, c in sorted(X.U2):
-        pts.extend((a, t, c) for t in range(1, j + 2))
-    for b, c in sorted(X.U1):
-        pts.extend((t, b, c) for t in range(1, i + 2))
-    return pts
-
-
-def evaluation_matrix(X: VarietyOfLines, deg) -> list[list[int]]:
-    """Sample points (rows) evaluated on all monomials (columns)."""
-    i, j, k = deg
-    monomials = [
-        (s1, s2, s3)
-        for s1 in range(i + 1)
-        for s2 in range(j + 1)
-        for s3 in range(k + 1)
-    ]
-    matrix = []
-    for x, y, z in line_sample_points(X, deg):
-        matrix.append([x**s1 * y**s2 * z**s3 for s1, s2, s3 in monomials])
-    return matrix
-
-
-def hilbert_oracle_naive(X: VarietyOfLines, box) -> list:
-    """Hilbert function by literal evaluation-matrix ranks (slow)."""
-    return box_table(box, lambda deg: bareiss_rank(evaluation_matrix(X, deg)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +232,6 @@ def _rank3(deg, X: VarietyOfLines, memo) -> int:
     if sums[1] is None:
         sums[1] = _rank2((j, k), _NONE, _NONE, points, d2, memo)
     return sums[0] + free * sums[1]
-
-
-def hilbert_oracle_at(X: VarietyOfLines, deg) -> int:
-    """H(deg) as the evaluation-matrix rank, computed structurally."""
-    return _rank3(tuple(deg), X, {})
 
 
 def hilbert_oracle(X: VarietyOfLines, box) -> list:
@@ -458,58 +417,53 @@ def stanley_reisner_complex(X: VarietyOfLines) -> SimplicialComplex:
     return SimplicialComplex(vertices=G.vertices, facets=facets)
 
 
-def _co_edge_homology_vanishes(W: tuple, edges: list) -> bool:
-    """Reduced homology below top dimension of the complex on W whose
-    faces are the subsets avoiding some edge."""
-    nw = len(W)
-    dim_link = nw - 3  # facets have size nw - 2
-    if dim_link <= 0:
-        return True  # H~(-1) cannot survive once any vertex is a face
-    faces_by_size: dict[int, list[tuple]] = {0: [()]}
-    for size in range(1, nw - 1):
-        faces = [
-            tau
-            for tau in combinations(W, size)
-            if any(not (e & set(tau)) for e in edges)
-        ]
-        faces_by_size[size] = faces
-    rank_boundary: dict[int, int] = {}
-    for size in range(1, nw - 1):
-        lower_index = {f: n for n, f in enumerate(faces_by_size[size - 1])}
-        matrix = []
-        for tau in faces_by_size[size]:
-            row = {}
-            for m in range(size):
-                sub = tau[:m] + tau[m + 1:]
-                row[lower_index[sub]] = (-1) ** m
-            matrix.append(row)
-        rank_boundary[size] = sparse_rank(matrix)
-    rank_boundary[nw - 1] = 0
-    for q in range(-1, dim_link):
-        size = q + 1
-        betti = (
-            len(faces_by_size[size])
-            - rank_boundary.get(size, 0)
-            - rank_boundary.get(size + 1, 0)
-        )
-        if betti:
-            return False
-    return True
+def _independence_homology_vanishes(adj, W: int) -> bool:
+    """H~_q(Ind(G[W]); Q) = 0 for every q >= 1, where adj holds G's
+    adjacency bitmasks and W is a vertex bitmask.
+
+    Faces are bitmasks. Each face of size s + 1 is a face of size s
+    grown by a vertex of W above its highest one and adjacent to none of
+    it, so each independent set is made once. q = s - 1 is the
+    dimension of the faces of size s.
+    """
+    layers = [[0]]
+    while layers[-1]:
+        layers.append([
+            f | 1 << v
+            for f in layers[-1]
+            for v in _bits(W >> f.bit_length() << f.bit_length())
+            if not adj[v] & f
+        ])
+    # ranks[s]: rank of the boundary map from faces of size s to size
+    # s - 1, needed for s >= 2 only
+    ranks = [0, 0] + [
+        sparse_rank([
+            {f ^ 1 << v: (-1) ** n for n, v in enumerate(_bits(f))}
+            for f in layer
+        ])
+        for layer in layers[2:]
+    ]
+    return all(
+        len(layers[s]) == ranks[s] + ranks[s + 1]
+        for s in range(2, len(layers) - 1)
+    )
 
 
 def reisner_cm(cx: SimplicialComplex) -> bool:
-    """Reisner's criterion over the rationals: every face's link has
-    vanishing reduced homology below its dimension."""
-    V = tuple(cx.vertices)
-    vset = frozenset(V)
-    edges = [vset - f for f in cx.facets]
-    for size in range(0, len(V) - 3):
-        for sigma in combinations(V, size):
-            sset = set(sigma)
-            live = [e for e in edges if not (e & sset)]
-            if not live:
-                continue  # sigma is not a face
-            W = tuple(v for v in V if v not in sset)
-            if not _co_edge_homology_vanishes(W, live):
-                return False
-    return True
+    """Reisner's criterion over the rationals, in its Alexander-dual form.
+
+    The facets are V - e for the edges e of a graph G, so V - W is a face
+    iff G[W] has an edge, and its link is dual within W to the
+    independence complex Ind(G[W]): H~_i(link) = H~^(|W| - i - 3)(Ind(G[W])).
+    So the link's homology vanishes below its dimension |W| - 3 iff
+    H~_q(Ind(G[W]); Q) = 0 for all q >= 1 (Hochster 1977; Eagon and
+    Reiner 1998). Ind(G[W]) is a cone, with no reduced homology, when a
+    vertex of W has no neighbour in W, so only the other W are tested.
+    """
+    vset = frozenset(cx.vertices)
+    adj = Graph.from_edges(cx.vertices, (tuple(vset - f) for f in cx.facets)).masks
+    return all(
+        _independence_homology_vanishes(adj, W)
+        for W in range(1 << len(adj))
+        if all(adj[v] & W for v in _bits(W))
+    )

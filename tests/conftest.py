@@ -3,8 +3,10 @@ session-scoped populations reused by several acceptance criteria,
 brute-force references for the witnesses of routes 2 and 3, the
 chordality search and chordless-cycle enumeration on vertex sets, the
 edge-set graphs and 0/1 slice matrices the package once built, the
-generator scan over the whole box, and the Hilbert tables and
-compaction as they were computed cell by cell and family by family."""
+generator scan over the whole box, the Hilbert tables and compaction
+as they were computed cell by cell and family by family, the Hilbert
+oracle as literal evaluation-matrix ranks, and Reisner's face-ring test
+link by link."""
 
 import itertools
 import random
@@ -442,6 +444,40 @@ def scan_unclipped(X, box):
     return found
 
 
+def line_sample_points(X, deg):
+    """deg-dependent sample points: each line swept through its free
+    factor at the integer parameters 1..(free degree + 1)."""
+    i, j, k = deg
+    pts = []
+    for a, b in sorted(X.U3):
+        pts.extend((a, b, t) for t in range(1, k + 2))
+    for a, c in sorted(X.U2):
+        pts.extend((a, t, c) for t in range(1, j + 2))
+    for b, c in sorted(X.U1):
+        pts.extend((t, b, c) for t in range(1, i + 2))
+    return pts
+
+
+def evaluation_matrix(X, deg):
+    """Sample points (rows) evaluated on all monomials (columns)."""
+    i, j, k = deg
+    monomials = [
+        (s1, s2, s3)
+        for s1 in range(i + 1)
+        for s2 in range(j + 1)
+        for s3 in range(k + 1)
+    ]
+    matrix = []
+    for x, y, z in line_sample_points(X, deg):
+        matrix.append([x**s1 * y**s2 * z**s3 for s1, s2, s3 in monomials])
+    return matrix
+
+
+def hilbert_oracle_naive(X, box):
+    """Hilbert function by literal evaluation-matrix ranks (slow)."""
+    return box_table(box, lambda deg: bareiss_rank(evaluation_matrix(X, deg)))
+
+
 def _rank3_by_nodes(deg, X, memo):
     """_rank3 as one _rank2 sum over the front nodes at every degree,
     before the sum was kept per (j, k)."""
@@ -488,6 +524,64 @@ def compact_by_renumbering(X):
         maps[f] = {old: new for new, old in enumerate(used, start=1)}
         new_d.append(len(used))
     return _renumber(X, tuple(new_d), maps)
+
+
+def _co_edge_homology_vanishes(W, edges):
+    """Reduced homology below top dimension of the complex on W whose
+    faces are the subsets avoiding some edge."""
+    nw = len(W)
+    dim_link = nw - 3  # facets have size nw - 2
+    if dim_link <= 0:
+        return True  # H~(-1) cannot survive once any vertex is a face
+    faces_by_size = {0: [()]}
+    for size in range(1, nw - 1):
+        faces = [
+            tau
+            for tau in itertools.combinations(W, size)
+            if any(not (e & set(tau)) for e in edges)
+        ]
+        faces_by_size[size] = faces
+    rank_boundary = {}
+    for size in range(1, nw - 1):
+        lower_index = {f: n for n, f in enumerate(faces_by_size[size - 1])}
+        matrix = []
+        for tau in faces_by_size[size]:
+            row = {}
+            for m in range(size):
+                sub = tau[:m] + tau[m + 1:]
+                row[lower_index[sub]] = (-1) ** m
+            matrix.append(row)
+        rank_boundary[size] = sparse_rank(matrix)
+    rank_boundary[nw - 1] = 0
+    for q in range(-1, dim_link):
+        size = q + 1
+        betti = (
+            len(faces_by_size[size])
+            - rank_boundary.get(size, 0)
+            - rank_boundary.get(size + 1, 0)
+        )
+        if betti:
+            return False
+    return True
+
+
+def reisner_cm_by_links(cx):
+    """reisner_cm's verdict from Reisner's criterion as stated: every
+    face's link, its co-edge faces listed subset by subset, has
+    vanishing reduced homology below its dimension."""
+    V = tuple(cx.vertices)
+    vset = frozenset(V)
+    edges = [vset - f for f in cx.facets]
+    for size in range(0, len(V) - 3):
+        for sigma in itertools.combinations(V, size):
+            sset = set(sigma)
+            live = [e for e in edges if not (e & sset)]
+            if not live:
+                continue  # sigma is not a face
+            W = tuple(v for v in V if v not in sset)
+            if not _co_edge_homology_vanishes(W, live):
+                return False
+    return True
 
 
 def all_small_varieties():

@@ -19,12 +19,9 @@ from acmlines import (
     SizeLimit,
     degree_sets,
     delta_hilbert,
-    evaluation_matrix,
     generator_degree_scan,
     hilbert_function,
     hilbert_oracle,
-    hilbert_oracle_at,
-    hilbert_oracle_naive,
     is_acm,
     make_variety,
     reisner_cm,
@@ -39,16 +36,20 @@ from acmlines.oracles import (
     _kernel3,
     _multiplied_rows,
     _rank3,
-    line_sample_points,
 )
 from acmlines.sampling import random_ferrers_variety, random_variety
 from acmlines.variety import MAX_BOX_CELLS, check_table_box
 from conftest import (
     DIAGONAL_PAIR_PLUS_ONE,
+    FIFTEEN_LINES,
     FULL_BOX_432,
     REPAIRED_TRIPLE_POINTS,
     SINGLE_LINE,
     TWO_TRIPLE_POINTS,
+    evaluation_matrix,
+    hilbert_oracle_naive,
+    line_sample_points,
+    reisner_cm_by_links,
 )
 
 
@@ -68,8 +69,8 @@ def test_empty_variety_zero():
 
 
 def test_degree_zero_cell():
-    assert hilbert_oracle_at(SINGLE_LINE, (0, 0, 0)) == 1
-    assert hilbert_oracle_at(FULL_BOX_432, (0, 0, 0)) == 1
+    assert hilbert_oracle(SINGLE_LINE, (0, 0, 0)) == [[[1]]]
+    assert hilbert_oracle(FULL_BOX_432, (0, 0, 0)) == [[[1]]]
 
 
 def test_sample_point_count():
@@ -247,6 +248,23 @@ def test_face_ring_verdicts_on_goldens():
     for X, expected in cases:
         assert reisner_cm(stanley_reisner_complex(X)) is expected
         assert is_acm(X).acm is expected
+
+
+def test_face_ring_oracle_equals_the_link_by_link_test(
+    small_population, oracle_population
+):
+    for X in small_population:
+        cx = stanley_reisner_complex(X)
+        assert reisner_cm(cx) is reisner_cm_by_links(cx), X
+    for X, _, homological in oracle_population:
+        assert homological is reisner_cm_by_links(stanley_reisner_complex(X)), X
+
+
+def test_face_ring_oracle_is_fast_on_fifteen_lines():
+    cx = stanley_reisner_complex(FIFTEEN_LINES)
+    started = time.monotonic()
+    assert reisner_cm(cx) is False
+    assert time.monotonic() - started < 0.25
 
 
 def test_out_of_range_parameters_raise_bad_parameter():

@@ -24,7 +24,6 @@ from acmlines import (
     hilbert_function,
     hilbert_difference,
     hilbert_oracle,
-    hilbert_oracle_at,
     is_acm,
     is_ferrers_variety,
     is_literal_ferrers,
@@ -32,9 +31,11 @@ from acmlines import (
     minimal_generators,
     multiplicity_tensor,
     permute_families,
+    reisner_cm,
     relabel,
     remove_hyperplane,
     resembles_ferrers,
+    stanley_reisner_complex,
     variety_from_json,
     variety_to_json,
 )
@@ -50,9 +51,11 @@ from conftest import (
     first_pattern_by_product,
     graph_by_edge_sets,
     hilbert_oracle_by_nodes,
+    hilbert_oracle_naive,
     membership_matrices,
     mu_by_matrices,
     numeric_by_mu,
+    reisner_cm_by_links,
     scan_unclipped,
 )
 
@@ -224,9 +227,16 @@ def test_verdict_agrees_under_relabeling(X):
 @given(varieties())
 @settings(max_examples=30, deadline=None)
 def test_oracle_equals_naive_rank(X):
-    from acmlines import hilbert_oracle_naive
-
     assert hilbert_oracle(X, (2, 2, 2)) == hilbert_oracle_naive(X, (2, 2, 2))
+
+
+@given(raw_varieties(dmax=4).filter(lambda X: X.line_count and sum(X.d) <= 10))
+@example(make_variety((3, 0, 3), u2={(1, 1), (2, 2)}))  # A3 and C3 unused
+@settings(max_examples=40, deadline=None)
+def test_face_ring_oracle_equals_the_link_by_link_test_on_draws(X):
+    # uncompacted draws: unused hyperplanes are isolated vertices
+    cx = stanley_reisner_complex(X)
+    assert reisner_cm(cx) is reisner_cm_by_links(cx) is is_acm(X).acm
 
 
 @given(staircase_varieties())
@@ -420,19 +430,14 @@ def test_hilbert_difference_inverts_prefix_sum(X):
 BOXES = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
 
 
-@given(raw_varieties(dmax=5), BOXES, BOXES)
-@example(make_variety((0, 0, 0)), (2, 0, 1), (1, 0, 1))
-@example(make_variety((3, 0, 2), u2={(1, 1), (3, 2)}), (0, 4, 5), (0, 2, 5))
-@example(make_variety((4, 4, 4), u3={(1, 1), (4, 4)}, u1={(2, 3)}), (5, 5, 5), (1, 5, 2))
+@given(raw_varieties(dmax=5), BOXES)
+@example(make_variety((0, 0, 0)), (2, 0, 1))
+@example(make_variety((3, 0, 2), u2={(1, 1), (3, 2)}), (0, 4, 5))
+@example(make_variety((4, 4, 4), u3={(1, 1), (4, 4)}, u1={(2, 3)}), (5, 5, 5))
 @settings(max_examples=80, deadline=None)
-def test_oracle_equals_the_node_by_node_sum(X, box, cell):
+def test_oracle_equals_the_node_by_node_sum(X, box):
     # uncompacted draws, boxes smaller and larger than d on each axis
-    table = hilbert_oracle_by_nodes(X, box)
-    assert hilbert_oracle(X, box) == table
-    i, j, k = map(min, cell, box)
-    assert hilbert_oracle_at(X, (i, j, k)) == table[i][j][k]
-    bi, bj, bk = box
-    assert hilbert_oracle_at(X, box) == table[bi][bj][bk]
+    assert hilbert_oracle(X, box) == hilbert_oracle_by_nodes(X, box)
 
 
 @given(staircase_varieties(), BOXES, st.booleans())
@@ -443,6 +448,8 @@ def test_oracle_equals_the_node_by_node_sum(X, box, cell):
 def test_delta_hilbert_equals_the_cell_by_cell_test(X, box, reverse):
     if reverse:  # a Ferrers variety that is no literal staircase
         X = relabel(X, *(tuple(range(n, 0, -1)) for n in X.d))
+    # degree_sets reads X as labeled, and the literal staircase agrees
+    assert degree_sets(X) == degree_sets(is_ferrers_variety(X).relabeled(X))
     assert delta_hilbert(X, box) == delta_hilbert_by_leq(X, box)
 
 
