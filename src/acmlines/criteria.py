@@ -33,6 +33,7 @@ from .variety import (
     VarietyOfLines,
     family_permutation,
     line_masks,
+    permute_masks,
     variety_to_json,
 )
 
@@ -64,17 +65,13 @@ class MultiplicityTensor:
         return tuple(tuple(row >> q & 1 for q in range(len(cols))) for row in rows)
 
     def permuted(self, order) -> MultiplicityTensor:
-        """The tensor of permute_families(X, order): each slice moves to
-        its new direction, rows and columns swapped where its pair flips."""
+        """The tensor of permute_families(X, order), its slices moved by
+        permute_masks."""
         order = tuple(order)
-        pick, moves = family_permutation(order)
+        pick = family_permutation(order)[0]
         if order == (1, 2, 3):
             return self
-        slices = {
-            new: self.slices[old][::-1] if flip else self.slices[old]
-            for new, (old, flip) in zip((3, 2, 1), moves)
-        }
-        return MultiplicityTensor(pick(self.d), slices)
+        return MultiplicityTensor(pick(self.d), permute_masks(self.slices, order))
 
 
 def multiplicity_tensor(X: VarietyOfLines) -> MultiplicityTensor:

@@ -6,6 +6,9 @@ sets form a chain under inclusion. A Ferrers variety is one where a
 single relabeling (one permutation per hyperplane family) makes all
 three index sets literal staircases at once. For those, generator
 degrees and the Hilbert function have closed combinatorial forms.
+
+Detection reads the diagrams as the bit rows of variety.line_masks:
+inclusion of rows is a & b == b, and a row's size is its bit count.
 """
 
 from __future__ import annotations
@@ -20,12 +23,11 @@ from .errors import NotAcm, NotFerrers
 from .variety import (
     DIRECTION_FAMILIES,
     FAMILY_NAMES,
-    FRONT_ORDERS,
     VarietyOfLines,
     check_table_box,
     compact,
+    line_masks,
     make_variety,
-    permute_families,
     relabel,
 )
 
@@ -34,28 +36,21 @@ from .variety import (
 # resemblance and detection
 # ---------------------------------------------------------------------------
 
-def _row_sets(X: VarietyOfLines, direction: int) -> list[set[int]]:
-    fam_p, _ = DIRECTION_FAMILIES[direction]
-    nrows = X.d[fam_p - 1]
-    rows = [set() for _ in range(nrows)]
-    for p, q in X.u(direction):
-        rows[p - 1].add(q)
-    return rows
+def _is_chain(rows) -> bool:
+    """Do the bit rows form a chain under inclusion? Sorted by size,
+    each row must hold the next: two distinct rows of one size fail."""
+    ordered = sorted(set(rows), key=int.bit_count, reverse=True)
+    return all(a & b == b for a, b in zip(ordered, ordered[1:]))
 
 
-def _is_chain(sets) -> bool:
-    distinct = {frozenset(s) for s in sets}
-    ordered = sorted(distinct, key=len, reverse=True)
-    for a, b in zip(ordered, ordered[1:]):
-        if len(a) == len(b) or not a >= b:
-            return False
-    return True
+def _partition(rows) -> tuple[int, ...]:
+    """Nonzero bit-row sizes, sorted decreasing."""
+    return tuple(sorted((r.bit_count() for r in rows if r), reverse=True))
 
 
 def row_partition(X: VarietyOfLines, direction: int) -> tuple[int, ...]:
     """Nonzero row sizes of one direction's diagram, sorted decreasing."""
-    sizes = [len(r) for r in _row_sets(X, direction) if r]
-    return tuple(sorted(sizes, reverse=True))
+    return _partition(line_masks(X)[direction][0])
 
 
 def resembles_ferrers(X: VarietyOfLines, direction: int):
@@ -65,15 +60,16 @@ def resembles_ferrers(X: VarietyOfLines, direction: int):
     iff row and column permutations turn the diagram into a staircase.
     The partition of nonzero row sizes is returned either way.
     """
-    return _is_chain(_row_sets(X, direction)), row_partition(X, direction)
+    rows = line_masks(X)[direction][0]
+    return _is_chain(rows), _partition(rows)
 
 
 def is_literal_ferrers(X: VarietyOfLines, direction: int) -> bool:
-    """Is the diagram a left-justified staircase as labeled."""
-    cells = X.u(direction)
-    return all(
-        (p == 1 or (p - 1, q) in cells) and (q == 1 or (p, q - 1) in cells)
-        for p, q in cells
+    """Is the diagram a left-justified staircase as labeled: each bit row
+    a prefix (r & (r + 1) == 0) that lies inside the row above it."""
+    rows = line_masks(X)[direction][0]
+    return all(r & (r + 1) == 0 for r in rows) and all(
+        above & r == r for above, r in zip(rows, rows[1:])
     )
 
 
@@ -96,19 +92,21 @@ def is_ferrers_variety(X: VarietyOfLines) -> FerrersCheck:
     returned permutations map old labels to new ones (largest profile
     first) and simultaneously left-justify all three diagrams.
     """
+    masks = line_masks(X)
     perms = []
     for f in (1, 2, 3):
-        # with f permuted to the front, its two diagrams are the
-        # directions 3 and 2, and f indexes their rows
-        Y = permute_families(X, FRONT_ORDERS[f])
-        first, second = _row_sets(Y, 3), _row_sets(Y, 2)
-        indexed = [
-            (frozenset(first[i - 1]), frozenset(second[i - 1]), i)
-            for i in range(1, X.d[f - 1] + 1)
-        ]
-        indexed.sort(key=lambda t: (-len(t[0]), -len(t[1]), t[2]))
+        # f's two diagrams, in direction order: a direction's rows where
+        # f is the first family of its pair, its columns where the second
+        first, second = (
+            masks[h][families.index(f)]
+            for h, families in DIRECTION_FAMILIES.items() if f in families
+        )
+        indexed = sorted(
+            zip(first, second, range(1, X.d[f - 1] + 1)),
+            key=lambda t: (-t[0].bit_count(), -t[1].bit_count(), t[2]),
+        )
         for (a1, a2, _), (b1, b2, _) in zip(indexed, indexed[1:]):
-            if not (a1 >= b1 and a2 >= b2):
+            if a1 & b1 != b1 or a2 & b2 != b2:
                 return FerrersCheck(ok=False, perms=None)
         perm = [0] * X.d[f - 1]
         for new, (_, _, old) in enumerate(indexed, start=1):
@@ -185,12 +183,13 @@ def degree_sets(X: VarietyOfLines) -> DegreeSets:
     they are read off X as it is labeled.
     """
     _ferrers_check(X)
+    masks = line_masks(X)
     by_direction = {}
     for h, families in DIRECTION_FAMILIES.items():
         # a point degree (p, q) of direction h, with 0 for the free family
         by_direction[h] = {
             tuple(dict(zip(families, pair)).get(f, 0) for f in (1, 2, 3))
-            for pair in points_generator_degrees(row_partition(X, h))
+            for pair in points_generator_degrees(_partition(masks[h][0]))
         }
     combined = frozenset(
         tuple(max(coords) for coords in zip(t3, t2, t1))
@@ -434,9 +433,10 @@ def ferrers_companion(X: VarietyOfLines) -> VarietyOfLines:
     """
     if not acm_decision(X):
         raise NotAcm("companion construction needs an ACM variety")
+    masks = line_masks(X)
     staircases = {}
     for h in (3, 2, 1):
-        partition = row_partition(X, h)
+        partition = _partition(masks[h][0])
         staircases[h] = {
             (r, c)
             for r, size in enumerate(partition, start=1)

@@ -68,10 +68,6 @@ class Graph:
         """Position of each vertex in the vertex tuple."""
         return {v: n for n, v in enumerate(self.vertices)}
 
-    def has_edge(self, u, v) -> bool:
-        n, m = self.ordinal.get(u), self.ordinal.get(v)
-        return n is not None and m is not None and bool(self.masks[n] >> m & 1)
-
 
 def _incidence_masks(X: VarietyOfLines) -> list[int]:
     """The incidence graph's adjacency bitmasks, in build_graph's vertex

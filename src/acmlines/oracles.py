@@ -6,10 +6,11 @@ evaluation matrix that pairs monomials with sample points on the lines
 per line; hyperplane parameters are the integers 1, 2, 3, ...). The
 tests keep a literal transcription of that matrix as the reference; the
 oracle computes the same rank through the tensor structure of the point
-conditions, using only integer arithmetic. It works on a view of
-the variety with its saturated factors first (f is saturated at deg when
-d_f <= deg_f + 1, so the value nodes include every hyperplane of f) and
-splits the problem along the first of them. Each node's problem lives in
+conditions, using only integer arithmetic. It works on the variety's
+slice bit rows (variety.line_masks) permuted by permute_masks to put its
+saturated factors first (f is saturated at deg when d_f <= deg_f + 1,
+so the value nodes include every hyperplane of f), and splits the
+problem along the first of them. Each node's problem lives in
 the other two degrees alone, so a table pays for each such pair once
 and every further degree of f is one lookup.
 
@@ -48,7 +49,7 @@ from operator import itemgetter
 from .criteria import acm_decision
 from .criteria import is_acm  # noqa: F401  perfbench/selftest.py traces this binding
 from .errors import BoxTooSmallWarning, EmptyVariety, SizeLimit
-from .ferrers import _row_sets, degree_sets, ferrers_companion
+from .ferrers import degree_sets, ferrers_companion
 from .graphs import Graph, _bits, build_graph
 from .linalg import (
     bareiss_rank,
@@ -60,12 +61,13 @@ from .variety import (
     VarietyOfLines,
     box_table,
     check_box,
+    compact,
     family_permutation,
-    permute_families,
+    line_masks,
+    permute_masks,
 )
 
 MAX_REISNER_VERTICES = 14
-_NONE = frozenset()
 
 
 def _boxrange(box):
@@ -122,12 +124,12 @@ def _dense_kernel(sizes, conditions) -> list[dict]:
     ]
 
 
-def _conditions2(rows, cols, points):
-    """The _rank2 rows, columns and points as _condition_rows conditions."""
+def _conditions2(row, col, points):
+    """The _rank2 row, column and points as _condition_rows conditions."""
     return (
-        [(r, None) for r in sorted(rows)]
-        + [(None, c) for c in sorted(cols)]
-        + sorted(points)
+        [(r + 1, None) for r in _bits(row)]
+        + [(None, c + 1) for c in _bits(col)]
+        + [(b, c + 1) for b, mask in enumerate(points, start=1) for c in _bits(mask)]
     )
 
 
@@ -140,39 +142,41 @@ def _line_conditions(X: VarietyOfLines):
     )
 
 
-def _fibres(j, rows, cols, points) -> dict[int, set[int]]:
+def _fibres(j, row, col, points) -> dict[int, int]:
     """For a saturated first side (at most j+1 indices): each node y in
-    1..j+1 outside rows, with the second-side nodes where its fibre must
-    vanish (the columns, and the points with first coordinate y)."""
-    fibres = {y: set(cols) for y in range(1, j + 2) if y not in rows}
-    for b, c in points:
-        if b in fibres:
-            fibres[b].add(c)
-    return fibres
+    1..j+1 outside row, with the bit mask of the second-side nodes where
+    its fibre must vanish (col, and the points with first coordinate y)."""
+    padded = points + (0,) * (j + 1 - len(points))
+    return {
+        y: col | mask
+        for y, mask in enumerate(padded, start=1)
+        if not row >> (y - 1) & 1
+    }
 
 
-def _rank2(deg_pair, rows, cols, points, d2, memo) -> int:
+def _rank2(deg_pair, row, col, points, memo) -> int:
     """dim of sum of row spaces v_r (x) Q, column spaces P (x) w_c and
     single tensors v_b (x) w_c inside P (x) Q.
 
-    P has deg_pair[0]+1 value coordinates and indices up to d2; Q has
-    deg_pair[1]+1. The front view puts the saturated factors first, so
-    when P is not saturated neither is Q. rows, cols and points are
-    frozensets, so they key the memo as they are.
+    P has deg_pair[0]+1 value coordinates and indices up to
+    len(points); Q has deg_pair[1]+1. row has bit r - 1 set for each
+    row r and col bit c - 1 for each column c; points[b - 1] has bit
+    c - 1 set for each point (b, c). The front view puts the saturated
+    factors first, so when P is not saturated neither is Q.
     """
-    key = (deg_pair, rows, cols, points, d2)  # frozensets, from _front_view
+    key = (deg_pair, row, col, points)
     if key in memo:
         return memo[key]
     j, k = deg_pair
-    if d2 <= j + 1:
-        fibres = _fibres(j, rows, cols, points)
-        total = (j + 1 - len(fibres)) * (k + 1) + sum(
-            min(len(s), k + 1) for s in fibres.values()
+    if len(points) <= j + 1:
+        fibres = _fibres(j, row, col, points)
+        total = row.bit_count() * (k + 1) + sum(
+            min(s.bit_count(), k + 1) for s in fibres.values()
         )
     else:
         # neither side saturated: small dense block
         total = bareiss_rank(
-            _condition_rows((j + 1, k + 1), _conditions2(rows, cols, points))
+            _condition_rows((j + 1, k + 1), _conditions2(row, col, points))
         )
     memo[key] = total
     return total
@@ -183,13 +187,14 @@ def _front_view(deg, X: VarietyOfLines, memo):
     deg_f + 1: the deg_f + 1 value nodes include every hyperplane of f),
     as one two-factor problem per node x of f.
 
-    Returns None when no factor is saturated, else X permuted to put the
-    saturated factors first (each group in ascending order) and grouped
-    once, in memo under the saturation pattern (a memo serves one
-    variety): the order, its pick (family_permutation), the direction-3
-    rows and direction-2 columns of each front index (_row_sets as
-    frozensets, d_f long; the nodes past d_f have none), the direction-1
-    lines as points, and the second family's size."""
+    Returns None when no factor is saturated, else X's slice bit rows
+    with the saturated factors first (each group in ascending order),
+    built once, in memo under the saturation pattern (a memo serves one
+    variety): the order, its pick (family_permutation), and the
+    direction-3, direction-2 and direction-1 bit rows of
+    permute_masks(line_masks(X), order). The first two give the rows and
+    the columns of each front node (d_f of them; the nodes past d_f have
+    none), the third the points, one bit row per second-family index."""
     i, j, k = deg
     d1, d2, d3 = X.d
     saturated = (d1 <= i + 1, d2 <= j + 1, d3 <= k + 1)
@@ -199,11 +204,9 @@ def _front_view(deg, X: VarietyOfLines, memo):
     view = memo.get(key)
     if view is None:
         order = tuple(sorted((1, 2, 3), key=lambda f: not saturated[f - 1]))
-        Y = permute_families(X, order)
+        masks = permute_masks(line_masks(X), order)
         pick = family_permutation(order)[0]
-        rows = [frozenset(r) for r in _row_sets(Y, 3)]
-        cols = [frozenset(c) for c in _row_sets(Y, 2)]
-        view = order, pick, rows, cols, Y.U1, Y.d[1]
+        view = order, pick, masks[3][0], masks[2][0], masks[1][0]
         memo[key] = view
     return view
 
@@ -214,7 +217,7 @@ def _rank3(deg, X: VarietyOfLines, memo) -> int:
         # no factor saturated: dense, but then all degrees are small
         sizes = tuple(t + 1 for t in deg)
         return bareiss_rank(_condition_rows(sizes, _line_conditions(X)))
-    order, pick, rows, cols, points, d2 = view
+    order, pick, rows, cols, points = view
     i, j, k = pick(deg)
     # The sum over the d_f = len(rows) front nodes and the rank at an
     # empty node depend on the view and (j, k), not on i, so both are
@@ -224,18 +227,22 @@ def _rank3(deg, X: VarietyOfLines, memo) -> int:
     key = ("sum", order, j, k)
     sums = memo.get(key)
     if sums is None:
-        front = sum(_rank2((j, k), r, c, points, d2, memo) for r, c in zip(rows, cols))
+        front = sum(_rank2((j, k), r, c, points, memo) for r, c in zip(rows, cols))
         sums = memo[key] = [front, None]
     free = i + 1 - len(rows)
     if not free:
         return sums[0]
     if sums[1] is None:
-        sums[1] = _rank2((j, k), _NONE, _NONE, points, d2, memo)
+        sums[1] = _rank2((j, k), 0, 0, points, memo)
     return sums[0] + free * sums[1]
 
 
 def hilbert_oracle(X: VarietyOfLines, box) -> list:
-    """Hilbert function table over the box (inclusive bounds)."""
+    """Hilbert function table over the box (inclusive bounds).
+
+    The table does not depend on labels, so X is compacted first and
+    unused hyperplanes cost nothing past that one pass."""
+    X = compact(X)
     memo: dict = {}
     return box_table(box, lambda deg: _rank3(deg, X, memo))
 
@@ -244,26 +251,26 @@ def hilbert_oracle(X: VarietyOfLines, box) -> list:
 # generator degree scan
 # ---------------------------------------------------------------------------
 
-def _kernel2(deg_pair, rows, cols, points, d2):
+def _kernel2(deg_pair, row, col, points):
     """Basis of the joint kernel of the _rank2 conditions, as sparse
     {(y, z): value} dicts over value-grid cells (1-based)."""
     j, k = deg_pair
-    if d2 <= j + 1:
+    if len(points) <= j + 1:
         out = []
-        for y, s in _fibres(j, rows, cols, points).items():
-            if all(c <= k + 1 for c in s):
+        for y, s in _fibres(j, row, col, points).items():
+            if not s >> (k + 1):  # every vanishing node is a value node
                 out.extend(
-                    {(y, z): 1} for z in range(1, k + 2) if z not in s
+                    {(y, z): 1} for z in range(1, k + 2) if not s >> (z - 1) & 1
                 )
             else:
-                mat = [_eval_row(k + 1, c) for c in sorted(s)]
+                mat = [_eval_row(k + 1, c + 1) for c in _bits(s)]
                 for vec in nullspace(mat, k + 1):
                     out.append(
                         {(y, z): v for z, v in enumerate(vec, start=1) if v}
                     )
         return out
     # neither side saturated (see _rank2): small dense block
-    return _dense_kernel((j + 1, k + 1), _conditions2(rows, cols, points))
+    return _dense_kernel((j + 1, k + 1), _conditions2(row, col, points))
 
 
 def _kernel3(deg, X: VarietyOfLines, memo):
@@ -271,14 +278,14 @@ def _kernel3(deg, X: VarietyOfLines, memo):
     view = _front_view(deg, X, memo)
     if view is None:
         return _dense_kernel(tuple(t + 1 for t in deg), _line_conditions(X))
-    order, pick, rows, cols, points, d2 = view
+    order, pick, rows, cols, points = view
     i, j, k = pick(deg)
     # front-view cell -> cell in X's axis order
     unpermute = itemgetter(*(order.index(g) for g in (1, 2, 3)))
     return [
         {unpermute((x, y, z)): v for (y, z), v in g.items()}
-        for r, c, x in zip_longest(rows, cols, range(1, i + 2), fillvalue=_NONE)
-        for g in _kernel2((j, k), r, c, points, d2)
+        for r, c, x in zip_longest(rows, cols, range(1, i + 2), fillvalue=0)
+        for g in _kernel2((j, k), r, c, points)
     ]
 
 

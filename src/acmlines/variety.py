@@ -40,9 +40,6 @@ FAMILY_NAMES = ("A", "B", "C")
 # Families (1=A, 2=B, 3=C) indexing the pair stored for each line direction.
 DIRECTION_FAMILIES = {3: (1, 2), 2: (1, 3), 1: (2, 3)}
 
-# Orders (see permute_families) bringing one family to the front, others kept.
-FRONT_ORDERS = {1: (1, 2, 3), 2: (2, 1, 3), 3: (3, 1, 2)}
-
 
 class HyperplaneId(NamedTuple):
     """One coordinate hyperplane, e.g. A3 = ('A', 3)."""
@@ -405,6 +402,17 @@ def family_permutation(order: tuple[int, int, int]) -> tuple:
         p_new, q_new = new_family[fam_p], new_family[fam_q]
         moves[6 - p_new - q_new] = direction, p_new > q_new
     return itemgetter(*(f - 1 for f in order)), (moves[3], moves[2], moves[1])
+
+
+def permute_masks(masks: dict, order) -> dict:
+    """line_masks(permute_families(X, order)) from masks = line_masks(X):
+    each direction's (rows, cols) moves to its new direction, swapped
+    where its pair flips."""
+    moves = family_permutation(tuple(order))[1]
+    return {
+        new: masks[old][::-1] if flip else masks[old]
+        for new, (old, flip) in zip((3, 2, 1), moves)
+    }
 
 
 def permute_families(X: VarietyOfLines, order) -> VarietyOfLines:

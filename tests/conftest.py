@@ -4,7 +4,8 @@ brute-force references for the witnesses of routes 2 and 3, the
 chordality search and chordless-cycle enumeration on vertex sets, the
 edge-set graphs and 0/1 slice matrices the package once built, the
 generator scan over the whole box, the Hilbert tables and compaction
-as they were computed cell by cell and family by family, the Hilbert
+as they were computed cell by cell and family by family, the Ferrers
+checks on row sets of permuted varieties, the Hilbert
 oracle as literal evaluation-matrix ranks, and Reisner's face-ring test
 link by link."""
 
@@ -21,17 +22,20 @@ from acmlines import (
     build_graph,
     complement,
     is_acm,
+    is_ferrers_variety,
     is_induced_cycle,
+    is_literal_ferrers,
     make_variety,
     reisner_cm,
+    resembles_ferrers,
+    row_partition,
     stanley_reisner_complex,
 )
 from acmlines.criteria import _PATTERN_FAMILY_SEQS, _pattern_witness
 from acmlines.graphs import canonical_cycle
-from acmlines.ferrers import _leq, degree_sets
+from acmlines.ferrers import FerrersCheck, _leq, degree_sets
 from acmlines.linalg import bareiss_rank, sparse_rank
 from acmlines.oracles import (
-    _NONE,
     _boxrange,
     _condition_rows,
     _front_view,
@@ -48,6 +52,7 @@ from acmlines.variety import (
     _renumber,
     box_table,
     check_box,
+    permute_families,
 )
 
 # Fifteen lines; the A x B slice is a relabeled staircase of shape
@@ -485,12 +490,12 @@ def _rank3_by_nodes(deg, X, memo):
     if view is None:
         sizes = tuple(t + 1 for t in deg)
         return bareiss_rank(_condition_rows(sizes, _line_conditions(X)))
-    _, pick, rows, cols, points, d2 = view
+    _, pick, rows, cols, points = view
     i, j, k = pick(deg)
-    total = sum(_rank2((j, k), r, c, points, d2, memo) for r, c in zip(rows, cols))
+    total = sum(_rank2((j, k), r, c, points, memo) for r, c in zip(rows, cols))
     free = i + 1 - len(rows)
     if free:
-        total += free * _rank2((j, k), _NONE, _NONE, points, d2, memo)
+        total += free * _rank2((j, k), 0, 0, points, memo)
     return total
 
 
@@ -508,6 +513,76 @@ def delta_hilbert_by_leq(X, box):
     return box_table(
         box, lambda deg: 0 if any(_leq(m, deg) for m in minimal) else 1
     )
+
+
+def _row_sets(X, direction):
+    fam_p, _ = DIRECTION_FAMILIES[direction]
+    rows = [set() for _ in range(X.d[fam_p - 1])]
+    for p, q in X.u(direction):
+        rows[p - 1].add(q)
+    return rows
+
+
+def row_partition_by_sets(X, direction):
+    """row_partition from the row sets."""
+    return tuple(sorted((len(r) for r in _row_sets(X, direction) if r), reverse=True))
+
+
+def resembles_ferrers_by_sets(X, direction):
+    """resembles_ferrers with the chain test on distinct row sets."""
+    distinct = {frozenset(s) for s in _row_sets(X, direction)}
+    ordered = sorted(distinct, key=len, reverse=True)
+    chain = all(
+        len(a) != len(b) and a >= b for a, b in zip(ordered, ordered[1:])
+    )
+    return chain, row_partition_by_sets(X, direction)
+
+
+def is_literal_ferrers_by_sets(X, direction):
+    """is_literal_ferrers cell by cell: each cell's left and upper
+    neighbours are cells too."""
+    cells = X.u(direction)
+    return all(
+        (p == 1 or (p - 1, q) in cells) and (q == 1 or (p, q - 1) in cells)
+        for p, q in cells
+    )
+
+
+# Orders (see permute_families) bringing one family to the front, the
+# others kept in order.
+FRONT_ORDERS = {1: (1, 2, 3), 2: (2, 1, 3), 3: (3, 1, 2)}
+
+
+def is_ferrers_variety_by_sets(X):
+    """is_ferrers_variety on row sets: family f's two diagrams are the
+    directions 3 and 2 of X with f permuted to the front."""
+    perms = []
+    for f in (1, 2, 3):
+        Y = permute_families(X, FRONT_ORDERS[f])
+        first, second = _row_sets(Y, 3), _row_sets(Y, 2)
+        indexed = [
+            (frozenset(first[i - 1]), frozenset(second[i - 1]), i)
+            for i in range(1, X.d[f - 1] + 1)
+        ]
+        indexed.sort(key=lambda t: (-len(t[0]), -len(t[1]), t[2]))
+        for (a1, a2, _), (b1, b2, _) in zip(indexed, indexed[1:]):
+            if not (a1 >= b1 and a2 >= b2):
+                return FerrersCheck(ok=False, perms=None)
+        perm = [0] * X.d[f - 1]
+        for new, (_, _, old) in enumerate(indexed, start=1):
+            perm[old - 1] = new
+        perms.append(tuple(perm))
+    return FerrersCheck(ok=True, perms=tuple(perms))
+
+
+def assert_ferrers_checks_match_the_row_sets(X):
+    """The bit-row Ferrers checks equal their row-set references on X,
+    FerrersCheck.perms included."""
+    assert is_ferrers_variety(X) == is_ferrers_variety_by_sets(X), X
+    for h in (3, 2, 1):
+        assert resembles_ferrers(X, h) == resembles_ferrers_by_sets(X, h), (X, h)
+        assert is_literal_ferrers(X, h) == is_literal_ferrers_by_sets(X, h), (X, h)
+        assert row_partition(X, h) == row_partition_by_sets(X, h), (X, h)
 
 
 def compact_by_renumbering(X):

@@ -33,6 +33,7 @@ from conftest import (
     SINGLE_LINE,
     SKEW_CORNER,
     TWO_TRIPLE_POINTS,
+    assert_ferrers_checks_match_the_row_sets,
 )
 
 
@@ -269,3 +270,8 @@ def test_companion_hilbert_agreement_repaired():
     assert hilbert_oracle(REPAIRED_TRIPLE_POINTS, (4, 4, 4)) == hilbert_function(
         comp, (4, 4, 4)
     )
+
+
+def test_ferrers_checks_match_the_row_sets_on_every_small_variety(small_population):
+    for X in small_population:
+        assert_ferrers_checks_match_the_row_sets(X)

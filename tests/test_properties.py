@@ -40,11 +40,14 @@ from acmlines import (
     variety_to_json,
 )
 from acmlines.oracles import _boxrange, _kernel3
+from acmlines.variety import line_masks, permute_masks
 from acmlines.sampling import random_variety
 from acmlines.criteria import _NUMERIC_CRITERIA
 from acmlines.graphs import Graph
 from conftest import (
     FULL_BOX_432,
+    SINGLE_LINE,
+    assert_ferrers_checks_match_the_row_sets,
     compact_by_renumbering,
     complement_by_pairs,
     delta_hilbert_by_leq,
@@ -333,6 +336,34 @@ def test_ferrers_check_matches_permutation_search(X):
     assert got == expected
 
 
+@given(raw_varieties(dmax=5))
+@example(make_variety((0, 0, 0)))
+@example(make_variety((2, 0, 3), u2={(1, 1), (1, 2), (2, 1)}))  # no B
+@example(make_variety((0, 3, 2), u1={(1, 1), (1, 2), (3, 2)}))  # no A
+@example(make_variety((3, 2, 0), u3={(2, 1), (3, 2)}))  # no C, A1 unused
+@settings(max_examples=150, deadline=None)
+def test_ferrers_checks_match_the_row_sets_on_raw_draws(X):
+    assert_ferrers_checks_match_the_row_sets(X)
+
+
+@given(staircase_varieties(dmax=4), st.randoms())
+@settings(max_examples=80, deadline=None)
+def test_ferrers_checks_match_the_row_sets_on_relabeled_staircases(X, rng):
+    Y = relabel(X, *(rng.sample(range(1, n + 1), n) for n in X.d))
+    assert_ferrers_checks_match_the_row_sets(Y)
+    assert is_ferrers_variety(Y).ok
+
+
+@given(raw_varieties(dmax=4))
+@example(make_variety((0, 0, 0)))
+@example(make_variety((3, 0, 2), u2={(1, 1), (3, 2)}))
+@settings(max_examples=100, deadline=None)
+def test_permute_masks_equals_the_masks_of_the_permuted_variety(X):
+    masks = line_masks(X)
+    for sigma in FAMILY_ORDERS:
+        assert permute_masks(masks, sigma) == line_masks(permute_families(X, sigma))
+
+
 def _then(sigma, tau):
     """The order that permuting by sigma and then by tau amounts to."""
     return tuple(sigma[t - 1] for t in tau)
@@ -440,6 +471,33 @@ def test_oracle_equals_the_node_by_node_sum(X, box):
     assert hilbert_oracle(X, box) == hilbert_oracle_by_nodes(X, box)
 
 
+def _redeclared(X, extra, rng):
+    """Compact X re-declared with extra[f] unused hyperplanes in family
+    f, its used indices an increasing subset of the new range."""
+    a, b, c = (
+        dict(zip(range(1, n + 1), sorted(rng.sample(range(1, n + e + 1), n))))
+        for n, e in zip(X.d, extra)
+    )
+    return make_variety(
+        tuple(map(sum, zip(X.d, extra))),
+        {(a[i], b[j]) for i, j in X.U3},
+        {(a[i], c[k]) for i, k in X.U2},
+        {(b[j], c[k]) for j, k in X.U1},
+    )
+
+
+@given(
+    varieties(dmax=4),
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+    st.randoms(),
+    BOXES,
+)
+@example(SINGLE_LINE, (2, 0, 1), random.Random(0), (3, 1, 2))
+@settings(max_examples=60, deadline=None)
+def test_oracle_ignores_unused_hyperplanes(X, extra, rng, box):
+    assert hilbert_oracle(_redeclared(X, extra, rng), box) == hilbert_oracle(X, box)
+
+
 @given(staircase_varieties(), BOXES, st.booleans())
 @example(EMPTY_VARIETY, (2, 0, 3), False)
 @example(FULL_BOX_432, (1, 2, 1), False)  # no minimal degree inside the box
@@ -462,18 +520,7 @@ def test_compact_renumbers_only_what_needs_it(X, extra, rng):
     assert compact(X) == Y
     assert X.is_compact() == (X == Y)
     assert compact(Y) is Y and Y.is_compact()
-    # Y re-declared with unused hyperplanes, its used indices an
-    # increasing subset of the new range: compaction gives Y back
-    maps = [
-        dict(zip(range(1, n + 1), sorted(rng.sample(range(1, n + e + 1), n))))
-        for n, e in zip(Y.d, extra)
-    ]
-    a, b, c = maps
-    padded = make_variety(
-        tuple(map(sum, zip(Y.d, extra))),
-        {(a[i], b[j]) for i, j in Y.U3},
-        {(a[i], c[k]) for i, k in Y.U2},
-        {(b[j], c[k]) for j, k in Y.U1},
-    )
+    # Y re-declared with unused hyperplanes: compaction gives Y back
+    padded = _redeclared(Y, extra, rng)
     assert compact(padded) == compact_by_renumbering(padded) == Y
     assert padded.is_compact() == (extra == (0, 0, 0))
