@@ -14,7 +14,7 @@ Subcommands:
   (``--method oracle``).
 * ``gens``: minimal generator degrees and explicit products.
 * ``grid``: variety JSON of the grid of lines through a point set.
-* ``ci``: complete-intersection detection.
+* ``ci``: complete-intersection detection (two minimal generators).
 * ``render``: dot diagrams of the three direction index sets.
 * ``hf-experiment``: seeded companion Hilbert-function experiment.
 """
@@ -31,7 +31,6 @@ from .criteria import is_acm
 from .errors import AcmLinesError, CriteriaDisagreement
 from .experiment import run_hf_experiment
 from .ferrers import (
-    delta_hilbert,
     detect_complete_intersection,
     hilbert_difference,
     hilbert_function,
@@ -107,12 +106,8 @@ def cmd_ferrers(args) -> int:
 def cmd_hilbert(args) -> int:
     X = _load_variety(args.variety)
     box = tuple(args.box)
-    if args.method == "corollary":
-        H = hilbert_function(X, box)
-        delta = delta_hilbert(X, box)
-    else:
-        H = hilbert_oracle(X, box)
-        delta = hilbert_difference(H)
+    H = (hilbert_function if args.method == "corollary" else hilbert_oracle)(X, box)
+    delta = hilbert_difference(H)
     if args.format == "json":
         print(json.dumps({"box": list(box), "deltaH": delta, "H": H}, sort_keys=True))
         return 0

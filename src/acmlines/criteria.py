@@ -14,7 +14,9 @@ bitmasks, for callers that need only the yes/no answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from .errors import BadN, CriteriaDisagreement
 from .graphs import (
@@ -113,7 +115,7 @@ _PATTERN_FAMILY_SEQS = {
 }
 
 
-def _find_pattern(d, masks, fam_seq):
+def _find_pattern(used, masks, fam_seq):
     """First index assignment matching the pattern, or None.
 
     Positions are assigned one per step in (family, position) order,
@@ -123,8 +125,10 @@ def _find_pattern(d, masks, fam_seq):
     edge of the cycle), the others a present line (a non-edge). So the
     candidates of t are one mask, the AND of the line row (from
     line_masks) of each checked label (or its complement) without the
-    predecessor's bit, tried in ascending order. Labels are held as bit
-    positions (index - 1).
+    predecessor's bit, tried in ascending order. Every position needs a
+    present line, so the candidates start from used[f - 1], the mask of
+    family f's labels some line uses. Labels are held as bit positions
+    (index - 1).
     """
     n = len(fam_seq)
     steps = sorted(range(n), key=lambda pos: (fam_seq[pos], pos))
@@ -137,8 +141,8 @@ def _find_pattern(d, masks, fam_seq):
         else:  # direction 6 - f - g holds the lines of families f < g
             consecutive = abs(s - t) in (1, n - 1)
             checks[t].append((s, masks[6 - f - g][0], not consecutive))
-    full = [(1 << d[f - 1]) - 1 for f in fam_seq]
-    labels = [max(d)] * (n + 1)  # bit max(d) lies in no full mask
+    starts = [used[f - 1] for f in fam_seq]
+    labels = [max(used).bit_length()] * (n + 1)  # a bit in no used mask
 
     def assign(step):
         if step == n:
@@ -147,7 +151,7 @@ def _find_pattern(d, masks, fam_seq):
                 for f, i in zip(fam_seq, labels)
             )
         pos = steps[step]
-        candidates = full[pos] & ~(1 << labels[twins[pos]])
+        candidates = starts[pos] & ~(1 << labels[twins[pos]])
         for s, rows, must_be_present in checks[pos]:
             row = rows[labels[s]]
             candidates &= row if must_be_present else ~row
@@ -174,8 +178,10 @@ def has_hyp_star(X: VarietyOfLines, n: int):
     if n < 4:
         raise BadN(f"cycle length must be at least 4, got {n}")
     masks = line_masks(X)
+    (r3, c3), (r2, c2), (r1, c1) = masks[3], masks[2], masks[1]
+    used = [reduce(or_, rows, 0) for rows in (c3 + c2, r3 + c1, r2 + r1)]
     for fam_seq in _PATTERN_FAMILY_SEQS.get(n, ()):
-        witness = _find_pattern(X.d, masks, fam_seq)
+        witness = _find_pattern(used, masks, fam_seq)
         if witness is not None:
             return False, witness
     return True, None

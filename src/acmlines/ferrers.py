@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, product
+from math import prod
 from operator import add, sub
 
 from .criteria import acm_decision
@@ -311,48 +312,25 @@ class CompleteIntersection:
     products: tuple[str, str]
 
 
-def _full_rectangle(X, direction) -> bool:
-    fam_p, fam_q = DIRECTION_FAMILIES[direction]
-    return len(X.u(direction)) == X.d[fam_p - 1] * X.d[fam_q - 1]
-
-
-def _all_family_product(f: int, count: int) -> str:
-    fam = FAMILY_NAMES[f - 1]
-    return "*".join(f"{fam}{i}" for i in range(1, count + 1))
-
-
 def detect_complete_intersection(X: VarietyOfLines):
-    """The two-generator structure of X's ideal, if it has one.
+    """The two generators of X's ideal, or None unless there are two.
 
-    After compaction, a complete intersection is either a single full
-    rectangle of lines in one direction, or two full rectangles sharing
-    one hyperplane family. Returns a CompleteIntersection or None.
+    X is a complete intersection exactly when minimal_generators(X) has
+    two generators (a variety that is not Ferrers has none to read).
+    They come in X's own labels, the one with fewer families first, then
+    the one whose first family is lower.
     """
-    X = compact(X)
-    nonempty = [h for h in (3, 2, 1) if X.u(h)]
-    if not 0 < len(nonempty) < 3 or not all(
-        _full_rectangle(X, h) for h in nonempty
-    ):
+    try:
+        gens = minimal_generators(X)
+    except NotFerrers:
         return None
-    # the families of each generator
-    if len(nonempty) == 1:
-        groups = [(f,) for f in DIRECTION_FAMILIES[nonempty[0]]]
-    else:
-        h1, h2 = nonempty
-        (f,) = set(DIRECTION_FAMILIES[h1]) & set(DIRECTION_FAMILIES[h2])
-        groups = [(f,), tuple(g for g in (1, 2, 3) if g != f)]
-    return CompleteIntersection(
-        degrees=tuple(
-            tuple(X.d[g - 1] if g in group else 0 for g in (1, 2, 3))
-            for group in groups
-        ),
-        products=tuple(
-            "*".join(
-                _all_family_product(g, X.d[g - 1]) for g in group if X.d[g - 1]
-            )
-            for group in groups
-        ),
+    if len(gens.degrees) != 2:
+        return None
+    pairs = sorted(
+        zip(gens.degrees, gens.products),
+        key=lambda pair: (sum(map(bool, pair[0])), [not n for n in pair[0]]),
     )
+    return CompleteIntersection(*zip(*pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -370,20 +348,24 @@ class GridResolution:
     matrix_entries: tuple  # 3 x 2 symbolic strings
 
     def hilbert(self, i: int, j: int, k: int) -> int:
-        a, b, c = self.box
+        """H(i, j, k) read off the resolution: r(t) minus r(t + g) over
+        the generator twists g plus r(t + s) over the syzygy twists s,
+        with r(u) the dimension of the ring's degree u."""
 
-        def r(u, v, w):
-            if u < 0 or v < 0 or w < 0:
-                return 0
-            return (u + 1) * (v + 1) * (w + 1)
+        def r(twist):
+            u = (i + twist[0], j + twist[1], k + twist[2])
+            return prod(x + 1 for x in u) if min(u) >= 0 else 0
 
         return (
-            r(i, j, k)
-            - r(i - a, j - b, k)
-            - r(i - a, j, k - c)
-            - r(i, j - b, k - c)
-            + 2 * r(i - a, j - b, k - c)
+            r((0, 0, 0))
+            - sum(map(r, self.generator_twists))
+            + sum(map(r, self.syzygy_twists))
         )
+
+
+def _all_family_product(f: int, count: int) -> str:
+    fam = FAMILY_NAMES[f - 1]
+    return "*".join(f"{fam}{i}" for i in range(1, count + 1))
 
 
 def grid_resolution(a: int, b: int, c: int) -> GridResolution:

@@ -49,7 +49,7 @@ from operator import itemgetter
 from .criteria import acm_decision
 from .criteria import is_acm  # noqa: F401  perfbench/selftest.py traces this binding
 from .errors import BoxTooSmallWarning, EmptyVariety, SizeLimit
-from .ferrers import degree_sets, ferrers_companion
+from .ferrers import ferrers_companion
 from .graphs import Graph, _bits, build_graph
 from .linalg import (
     bareiss_rank,
@@ -352,11 +352,21 @@ def generator_degree_scan(X: VarietyOfLines, box) -> dict:
     positive differences are minimal generators. That span lies inside
     I_t, so the elimination stops as soon as its rank reaches dim I_t:
     past that point no row can change the count. Along an axis a with
-    d_a <= t_a, each kernel vector below sits on one node x of a, and
-    its two multiples are replaced by the vector and its copy at the new
-    node t_a + 1, which span the same plane (determinant c_x (t_a + 1 -
-    x) != 0, c_x the extension coefficient of node x). Warns when the
-    box provably cuts off generators of an ACM variety.
+    d_a <= t_a, the copy rule of _grown_rows gives the rows. The counts
+    do not depend on labels, so X is compacted first.
+
+    Warns when the box cuts off generators of an ACM variety, that is
+    when it does not hold the companion C = ferrers_companion(X)'s d,
+    whose minimal degrees are X's (a measured fact on the small boxes,
+    see the tests). d_C is exactly the maximum minimal degree per axis.
+    Let C have row partitions p3 (A x B), p2 (A x C) and p1 (B x C), so
+    d_C = (max(|p3|, |p2|), max(p3_1, |p1|), max(p2_1, p1_1)). Each
+    direction's corners lie in its (|p|, p_1) box, so no combined degree
+    exceeds d_C. Say |p3| >= |p2|. The combined degree (|p3|, 0, 0) v
+    (0, 0, p2_1) v (0, 0, p1_1) has B-degree 0, so every combined degree
+    below it takes direction 3's only corner with B-degree 0, (|p3|, 0),
+    and some minimal generator has A-degree d_C,1. The case |p2| > |p3|
+    uses C-degree 0 instead, and the other axes are alike.
 
     Only the box clipped to X.d is scanned, because no minimal generator
     has t_a > d_a. Say t_a > d_a. Then axis a is saturated at t - e_a
@@ -372,9 +382,9 @@ def generator_degree_scan(X: VarietyOfLines, box) -> dict:
     box gives, key order included: it only holds nonzero counts.
     """
     box = check_box(box)
+    X = compact(X)
     if not X.is_empty and acm_decision(X):
-        guaranteed = degree_sets(ferrers_companion(X)).minimal
-        needed = tuple(max(t[f] for t in guaranteed) for f in range(3))
+        needed = ferrers_companion(X).d
         if any(n > b for n, b in zip(needed, box)):
             warnings.warn(
                 f"box {box} may miss generators up to {needed}",
@@ -409,19 +419,21 @@ class SimplicialComplex:
 
 
 def stanley_reisner_complex(X: VarietyOfLines) -> SimplicialComplex:
-    """Complex whose facets are vertex complements of incidence edges."""
+    """Complex whose facets are vertex complements of incidence edges, on
+    the hyperplanes some line uses (an unused one is a cone point)."""
     if X.is_empty:
         raise EmptyVariety("face-ring test needs at least one line")
     G = build_graph(X)
-    if G.vertex_count > MAX_REISNER_VERTICES:
+    vertices = tuple(v for v, mask in zip(G.vertices, G.masks) if mask)
+    if len(vertices) > MAX_REISNER_VERTICES:
         raise SizeLimit(
             f"face-ring test limited to {MAX_REISNER_VERTICES} vertices, "
-            f"got {G.vertex_count}"
+            f"got {len(vertices)}"
         )
-    vset = frozenset(G.vertices)
+    vset = frozenset(vertices)
     facets = frozenset(vset - {u, v} for (u, v) in G.edges)
     assert len({len(f) for f in facets}) == 1  # pure by construction
-    return SimplicialComplex(vertices=G.vertices, facets=facets)
+    return SimplicialComplex(vertices=vertices, facets=facets)
 
 
 def _independence_homology_vanishes(adj, W: int) -> bool:

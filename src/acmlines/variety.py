@@ -171,8 +171,15 @@ def validation_errors(raw: Mapping) -> list[str]:
     Callers decide whether they are fatal (strict) or fixable by
     compaction.
     """
+    hard, _, unused = _problems(raw)
+    return hard + unused
+
+
+def _problems(raw):
+    """validation_errors' messages split by kind: (the malformed input,
+    whether any of it is a duplicate line, the unused hyperplanes)."""
     if not isinstance(raw, Mapping):
-        return [f"a variety must be a JSON object, got {type(raw).__name__}"]
+        return [f"a variety must be a JSON object, got {type(raw).__name__}"], False, []
     problems = []
     d = raw.get("d")
     if (
@@ -180,7 +187,8 @@ def validation_errors(raw: Mapping) -> list[str]:
         or len(d) != 3
         or not all(_is_int(x) and x >= 0 for x in d)
     ):
-        return [f"d must be three non-negative integers, got {d!r}"]
+        return [f"d must be three non-negative integers, got {d!r}"], False, []
+    duplicate = False
     used = {1: set(), 2: set(), 3: set()}
     for direction, (fam_p, fam_q) in DIRECTION_FAMILIES.items():
         key = f"U{direction}"
@@ -204,6 +212,7 @@ def validation_errors(raw: Mapping) -> list[str]:
                 continue
             if (p, q) in seen:
                 problems.append(f"{key}: duplicate line ({p},{q})")
+                duplicate = True
                 continue
             seen.add((p, q))
             used[fam_p].add(p)
@@ -219,7 +228,7 @@ def validation_errors(raw: Mapping) -> list[str]:
     unused = sum(d[f - 1] - len(used[f]) for f in (1, 2, 3))
     if unused > len(names):
         names.append(f"unused hyperplanes: {unused - len(names)} more")
-    return problems + names
+    return problems, duplicate, names
 
 
 def check_box(box) -> tuple[int, int, int]:
@@ -265,14 +274,9 @@ def validate(raw: Mapping, strict: bool = False) -> VarietyOfLines:
     hyperplane indices raise UnusedHyperplane when ``strict``; otherwise
     they produce an UnusedHyperplaneWarning and the result is compacted.
     """
-    problems = validation_errors(raw)
-    hard = [p for p in problems if not p.startswith("unused hyperplane")]
+    hard, duplicate, unused = _problems(raw)
     if hard:
-        message = "; ".join(hard)
-        if any("duplicate" in p for p in hard):
-            raise DuplicateLine(message)
-        raise OutOfBounds(message)
-    unused = [p for p in problems if p.startswith("unused hyperplane")]
+        raise (DuplicateLine if duplicate else OutOfBounds)("; ".join(hard))
     variety = make_variety(
         tuple(raw["d"]),
         raw.get("U3", ()),

@@ -6,8 +6,9 @@ edge-set graphs and 0/1 slice matrices the package once built, the
 generator scan over the whole box, the Hilbert tables and compaction
 as they were computed cell by cell and family by family, the Ferrers
 checks on row sets of permuted varieties, the Hilbert
-oracle as literal evaluation-matrix ranks, and Reisner's face-ring test
-link by link."""
+oracle as literal evaluation-matrix ranks, Reisner's face-ring test
+link by link, and the complete-intersection rectangle rule and grid
+Hilbert formula that generator data replaced."""
 
 import itertools
 import random
@@ -20,6 +21,7 @@ from acmlines import (
     SizeLimit,
     all_varieties,
     build_graph,
+    compact,
     complement,
     is_acm,
     is_ferrers_variety,
@@ -583,6 +585,70 @@ def assert_ferrers_checks_match_the_row_sets(X):
         assert resembles_ferrers(X, h) == resembles_ferrers_by_sets(X, h), (X, h)
         assert is_literal_ferrers(X, h) == is_literal_ferrers_by_sets(X, h), (X, h)
         assert row_partition(X, h) == row_partition_by_sets(X, h), (X, h)
+
+
+def complete_intersection_by_rectangles(X):
+    """detect_complete_intersection's (degrees, products) by the rule it
+    once followed, or None: after compaction, X is one full rectangle of
+    lines in one direction, or two full rectangles sharing a family.
+    Products name the compacted labels."""
+    X = compact(X)
+    nonempty = [h for h in (3, 2, 1) if X.u(h)]
+    full = all(
+        len(X.u(h)) == X.d[p - 1] * X.d[q - 1]
+        for h in nonempty
+        for p, q in [DIRECTION_FAMILIES[h]]
+    )
+    if not 0 < len(nonempty) < 3 or not full:
+        return None
+    if len(nonempty) == 1:
+        groups = [(f,) for f in DIRECTION_FAMILIES[nonempty[0]]]
+    else:
+        h1, h2 = nonempty
+        (f,) = set(DIRECTION_FAMILIES[h1]) & set(DIRECTION_FAMILIES[h2])
+        groups = [(f,), tuple(g for g in (1, 2, 3) if g != f)]
+    degrees = tuple(
+        tuple(X.d[g - 1] if g in group else 0 for g in (1, 2, 3)) for group in groups
+    )
+    products = tuple(
+        "*".join(
+            f"{FAMILY_NAMES[g - 1]}{i}" for g in group for i in range(1, X.d[g - 1] + 1)
+        )
+        for group in groups
+    )
+    return degrees, products
+
+
+def grid_hilbert_by_formula(box, i, j, k):
+    """The full (a, b, c) grid's Hilbert function by its inclusion-exclusion
+    over the twists, written out term by term."""
+    a, b, c = box
+
+    def r(u, v, w):
+        if u < 0 or v < 0 or w < 0:
+            return 0
+        return (u + 1) * (v + 1) * (w + 1)
+
+    return (
+        r(i, j, k)
+        - r(i - a, j - b, k)
+        - r(i - a, j, k - c)
+        - r(i, j - b, k - c)
+        + 2 * r(i - a, j - b, k - c)
+    )
+
+
+def scattered(rng, X, extra, shuffle=True):
+    """Compact X re-declared with 0 to extra unused hyperplanes per
+    family, its used labels moved to random places, in random order or,
+    when not shuffle, in their own order (then compact(result) == X)."""
+    maps, d = {}, []
+    for f, n in zip((1, 2, 3), X.d):
+        size = n + rng.randint(0, extra)
+        places = rng.sample(range(1, size + 1), n)
+        maps[f] = dict(zip(range(1, n + 1), places if shuffle else sorted(places)))
+        d.append(size)
+    return _renumber(X, tuple(d), maps)
 
 
 def compact_by_renumbering(X):

@@ -2,6 +2,7 @@
 combined verdict."""
 
 import random
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from acmlines import (
     BadN,
     EMPTY_VARIETY,
     acm_decision,
+    compact,
     criterion_hyp4_numeric,
     criterion_hyp5_numeric,
     criterion_hyp6_numeric,
@@ -28,6 +30,7 @@ from conftest import (
     WORKED_EXAMPLES,
     first_pattern_by_product,
     numeric_by_mu,
+    scattered,
 )
 
 
@@ -130,6 +133,24 @@ def test_pattern_witnesses_match_product_search_on_staircases(seed, d):
     for n in (4, 5, 6):
         witness = first_pattern_by_product(X, n)
         assert has_hyp_star(X, n) == (witness is None, witness)
+
+
+def test_pattern_witnesses_match_product_search_on_padded_varieties():
+    # Route 2 tries only used labels; every pattern position needs a
+    # line, so its first witness is the one the search over all labels finds.
+    rng = random.Random(15)
+    for _ in range(40):
+        X = scattered(rng, compact(random_variety(rng, 3, 0.5)), 1, shuffle=False)
+        for n in (4, 5, 6):
+            witness = first_pattern_by_product(X, n)
+            assert has_hyp_star(X, n) == (witness is None, witness), X
+
+
+def test_pattern_search_time_is_set_by_the_used_labels():
+    X = make_variety((400, 1, 1), u3={(1, 1)})
+    started = time.monotonic()
+    assert is_acm(X).acm
+    assert time.monotonic() - started < 0.3
 
 
 def test_numeric_criteria_match_mu_loops_on_every_small_variety(small_population):

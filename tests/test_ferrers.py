@@ -1,6 +1,9 @@
 """Staircase detection, generator degrees, Hilbert functions, complete
 intersections, and the companion construction."""
 
+import itertools
+import random
+
 import pytest
 
 from acmlines import (
@@ -34,6 +37,9 @@ from conftest import (
     SKEW_CORNER,
     TWO_TRIPLE_POINTS,
     assert_ferrers_checks_match_the_row_sets,
+    complete_intersection_by_rectangles,
+    grid_hilbert_by_formula,
+    scattered,
 )
 
 
@@ -201,6 +207,45 @@ def test_ci_iff_two_generators():
         if is_ferrers_variety(X).ok:
             n = len(minimal_generators(X).degrees)
             assert (ci is not None) == (n == 2)
+
+
+def _as_pair(ci):
+    return None if ci is None else (ci.degrees, ci.products)
+
+
+def test_ci_detection_equals_the_rectangle_rule_on_every_small_variety(
+    small_population,
+):
+    found = [detect_complete_intersection(X) for X in small_population]
+    assert [_as_pair(ci) for ci in found] == [
+        complete_intersection_by_rectangles(X) for X in small_population
+    ]
+    assert sum(ci is not None for ci in found) == 108
+
+
+def test_ci_products_use_the_labels_of_the_input(small_population):
+    # The rectangle rule named the compacted labels; the two generators
+    # of a relabeled or padded complete intersection keep X's own.
+    rng = random.Random(16)
+    cis = [X for X in small_population if complete_intersection_by_rectangles(X)]
+    for X in cis + [CI_EXAMPLE]:
+        for _ in range(3):
+            Y = scattered(rng, X, 2)
+            ci = detect_complete_intersection(Y)
+            degrees, _ = complete_intersection_by_rectangles(Y)
+            assert ci.degrees == degrees, Y
+            gens = minimal_generators(Y)
+            assert sorted(ci.products) == sorted(gens.products), Y
+    line = make_variety((3, 3, 1), u3={(2, 3)})
+    assert detect_complete_intersection(line).products == ("A2", "B3")
+    assert complete_intersection_by_rectangles(line)[1] == ("A1", "B1")
+
+
+def test_grid_resolution_hilbert_equals_the_formula_on_every_small_grid():
+    for a, b, c in itertools.product(range(1, 5), repeat=3):
+        res = grid_resolution(a, b, c)
+        for i, j, k in itertools.product(range(7), repeat=3):
+            assert res.hilbert(i, j, k) == grid_hilbert_by_formula((a, b, c), i, j, k)
 
 
 def test_grid_resolution_twists():

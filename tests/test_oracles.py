@@ -17,6 +17,7 @@ from acmlines import (
     EMPTY_VARIETY,
     EmptyVariety,
     SizeLimit,
+    compact,
     degree_sets,
     delta_hilbert,
     ferrers_companion,
@@ -51,6 +52,7 @@ from conftest import (
     hilbert_oracle_naive,
     line_sample_points,
     reisner_cm_by_links,
+    scattered,
 )
 
 
@@ -205,6 +207,20 @@ def test_scan_work_is_bounded_by_d():
     assert elapsed < 1.0
 
 
+def test_scan_compacts_its_input():
+    # Unused hyperplanes cost one compaction, not a wider scan.
+    rng = random.Random(7)
+    varieties = [compact(random_variety(rng, 4, 0.4)) for _ in range(60)]
+    padded = [scattered(rng, X, 2) for X in varieties]
+    box = (6, 6, 6)
+    expected = [list(generator_degree_scan(X, box).items()) for X in varieties]
+    started = time.monotonic()
+    scans = [list(generator_degree_scan(X, box).items()) for X in padded]
+    elapsed = time.monotonic() - started
+    assert scans == expected
+    assert elapsed < 1.0
+
+
 def test_scan_empty_variety():
     scan = generator_degree_scan(EMPTY_VARIETY, (1, 1, 1))
     found = {deg: n for deg, n in scan.items() if n}
@@ -226,10 +242,13 @@ def test_companion_gives_the_scan_and_the_oracle_on_every_small_acm_variety(
     # agree everywhere, since H is affine in t_a once t_a >= d_a - 1.
     acm = [X for X, v in route_verdicts[0] if v.acm]
     assert len(acm) == 1593
+    # The scan's box guard asks for C.d, the largest degree per axis.
     for X in acm:
         C = ferrers_companion(X)
         expected = {m: 1 for m in degree_sets(C).minimal}
-        assert generator_degree_scan(X, X.d) == expected, X
+        scan = generator_degree_scan(X, X.d)
+        assert scan == expected, X
+        assert tuple(max(t[a] for t in scan) for a in range(3)) == C.d, X
         box = tuple(max(a, b) + 1 for a, b in zip(X.d, C.d))
         assert hilbert_oracle(X, box) == hilbert_function(C, box), X
 
@@ -244,6 +263,19 @@ def test_face_complex_shape():
 def test_face_complex_refuses_empty():
     with pytest.raises(EmptyVariety):
         stanley_reisner_complex(EMPTY_VARIETY)
+
+
+def test_face_complex_has_the_used_hyperplanes_as_vertices(oracle_population):
+    # 22 declared hyperplanes, 3 used: an unused one is a cone point.
+    X = make_variety((20, 1, 1), u3={(2, 1)}, u2={(2, 1)})
+    cx = stanley_reisner_complex(X)
+    assert [str(v) for v in cx.vertices] == ["A2", "B1", "C1"]
+    assert reisner_cm(cx) is reisner_cm(stanley_reisner_complex(compact(X))) is True
+    rng = random.Random(14)
+    for Y, _, homological in oracle_population:
+        cx = stanley_reisner_complex(scattered(rng, compact(Y), 2))
+        assert len(cx.vertices) == sum(compact(Y).d)
+        assert reisner_cm(cx) is homological, Y
 
 
 def test_face_complex_size_limit():

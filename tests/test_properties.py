@@ -45,11 +45,13 @@ from acmlines.sampling import random_variety
 from acmlines.criteria import _NUMERIC_CRITERIA
 from acmlines.graphs import Graph
 from conftest import (
+    CI_EXAMPLE,
     FULL_BOX_432,
     SINGLE_LINE,
     assert_ferrers_checks_match_the_row_sets,
     compact_by_renumbering,
     complement_by_pairs,
+    complete_intersection_by_rectangles,
     delta_hilbert_by_leq,
     first_pattern_by_product,
     graph_by_edge_sets,
@@ -269,11 +271,16 @@ def test_generator_degrees_form_antichain(X):
 
 
 @given(staircase_varieties())
+@example(SINGLE_LINE)
+@example(CI_EXAMPLE)
 @settings(max_examples=25, deadline=None)
 def test_ci_iff_two_minimal_generators(X):
     ci = detect_complete_intersection(X)
     gens = minimal_generators(X)
     assert (ci is not None) == (len(gens.degrees) == 2)
+    # on compact staircases the two-generator rule is the rectangle rule
+    reference = complete_intersection_by_rectangles(X)
+    assert (None if ci is None else (ci.degrees, ci.products)) == reference
 
 
 @given(staircase_varieties(dmax=2))

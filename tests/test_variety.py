@@ -83,6 +83,26 @@ def test_validate_duplicate_line():
         validate(raw)
 
 
+def test_validate_picks_the_class_from_the_kind_not_the_text():
+    # the word "duplicate" in a malformed value is not a duplicate line
+    for raw, message in (
+        ({"d": [1, 1, 1], "U3": "duplicate"},
+         "U3 must be a list of index pairs, got 'duplicate'"),
+        ([["duplicate", 1]], "a variety must be a JSON object, got list"),
+        ({"d": [1, 1, 1], "U3": [["duplicate", 1]]},
+         "U3: entry ['duplicate', 1] is not an index pair"),
+    ):
+        assert validation_errors(raw)[0] == message
+        with pytest.raises(OutOfBounds) as info:
+            validate(raw)
+        assert type(info.value) is OutOfBounds
+        assert str(info.value) == message
+    raw = {"d": [1, 1, 1], "U3": [[1, 1], [1, 1], [2, 1]], "U2": [[1, 1]]}
+    with pytest.raises(DuplicateLine) as info:
+        validate(raw)
+    assert str(info.value) == "; ".join(validation_errors(raw))
+
+
 def test_validation_errors_message_list():
     raw = {"d": [1, 1, 1], "U3": [[5, 1]], "U2": [], "U1": []}
     messages = validation_errors(raw)
