@@ -2,13 +2,16 @@
 """Derive the generator degrees of a staircase of points from the rank
 oracle, independently of the closed-form corner rule.
 
-For each partition given on the command line, builds the staircase
-variety of points in two factors (a one-hyperplane third family makes
-every row a line through the same third coordinate), scans the Hilbert
-function for rank jumps, and prints the degree pairs where new
-generators appear.  These scans are what froze the expected values in
-the test suite: the corners of the staircase, read as (column gaps,
-row lengths).
+The corner rule (points_generator_degrees) is the one-direction case of
+the Ferrers degree rule: the minimal (a, b) with b >= p[a], rows past
+the partition's end read as 0. For the partition given on the command
+line, this script builds the staircase variety of points in two factors
+(a one-hyperplane third family makes every row a line through the same
+third coordinate), scans it for minimal generators with the rank
+oracle, and prints the degree pairs where new generators appear next to
+the rule's. It exits 1 when they differ. These scans are what froze the
+expected values in the test suite: the corners of the staircase, read
+as (column gaps, row lengths).
 """
 
 import argparse

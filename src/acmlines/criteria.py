@@ -231,9 +231,9 @@ def criterion_hyp4_numeric(M: MultiplicityTensor):
     AND, the c-set, is m2[a2] & ~m2[a1] & ~m1[b1].
     """
     for direction in (3, 2, 1):
-        rows = M.slices[direction][0]
-        for r1, row1 in enumerate(rows, 1):
-            for r2, row2 in enumerate(rows, 1):
+        rows = [(r, row) for r, row in enumerate(M.slices[direction][0], 1) if row]
+        for r1, row1 in rows:
+            for r2, row2 in rows:
                 if row1 & ~row2 and row2 & ~row1:  # so r1 != r2
                     return False, {
                         "condition": f"slice-{direction} diagonal 2x2 pattern",
@@ -242,8 +242,10 @@ def criterion_hyp4_numeric(M: MultiplicityTensor):
                     }
     for order in ((1, 2, 3), (3, 1, 2), (2, 3, 1)):
         r3, r2, r1 = _rows(M.permuted(order))
-        for a1, (ab1, ac1) in enumerate(zip(r3, r2), 1):
-            for a2, (ab2, ac2) in enumerate(zip(r3, r2), 1):
+        # a1 needs m3[a1] and a2 needs m2[a2] nonzero: skip rows with no line
+        lines = [(a, ab, ac) for a, (ab, ac) in enumerate(zip(r3, r2), 1) if ab | ac]
+        for a1, ab1, ac1 in lines:
+            for a2, ab2, ac2 in lines:
                 cs = ac2 & ~ac1  # empty when a1 == a2
                 if not cs:
                     continue
@@ -270,8 +272,10 @@ def criterion_hyp5_numeric(M: MultiplicityTensor):
     """
     for order in ((1, 2, 3), (1, 3, 2), (2, 3, 1)):
         r3, r2, r1 = _rows(M.permuted(order))
-        for a1, (ab1, ac1) in enumerate(zip(r3, r2), 1):
-            for a2, (ab2, ac2) in enumerate(zip(r3, r2), 1):
+        # a1 needs m3[a1] and a2 needs m2[a2] nonzero: skip rows with no line
+        lines = [(a, ab, ac) for a, (ab, ac) in enumerate(zip(r3, r2), 1) if ab | ac]
+        for a1, ab1, ac1 in lines:
+            for a2, ab2, ac2 in lines:
                 cs = ac2 & ~ac1  # empty when a1 == a2
                 if not cs:
                     continue

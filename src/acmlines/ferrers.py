@@ -14,7 +14,7 @@ inclusion of rows is a & b == b, and a row's size is its bit count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate
 from math import prod
 from operator import add, sub
 
@@ -26,7 +26,6 @@ from .variety import (
     FAMILY_NAMES,
     VarietyOfLines,
     check_table_box,
-    compact,
     line_masks,
     make_variety,
     relabel,
@@ -124,17 +123,61 @@ def _ferrers_check(X: VarietyOfLines) -> FerrersCheck:
     return check
 
 
-def _canonical(X: VarietyOfLines):
-    """(literal-Ferrers relabeling of X, the FerrersCheck used)."""
-    check = _ferrers_check(X)
-    Y = check.relabeled(X)
-    assert all(is_literal_ferrers(Y, h) for h in (1, 2, 3))
-    return Y, check
-
-
 # ---------------------------------------------------------------------------
 # generator degrees
 # ---------------------------------------------------------------------------
+
+def _partitions(X: VarietyOfLines):
+    """X's row partitions p3 (A x B), p2 (A x C) and p1 (B x C)."""
+    masks = line_masks(X)
+    return tuple(_partition(masks[h][0]) for h in (3, 2, 1))
+
+
+def _padded(p, n) -> tuple[int, ...]:
+    """The partition p read as n rows: rows past its end are 0."""
+    return tuple(p) + (0,) * (n - len(p))
+
+
+def _staircase_d(p3, p2, p1) -> tuple[int, int, int]:
+    """The least box holding the staircase with row partitions p3, p2, p1:
+    (max(|p3|, |p2|), max(p3_1, |p1|), max(p2_1, p1_1))."""
+    p3_1, p2_1, p1_1 = (_padded(p, 1)[0] for p in (p3, p2, p1))
+    return max(len(p3), len(p2)), max(p3_1, len(p1)), max(p2_1, p1_1)
+
+
+def _minimal_degrees(p3, p2, p1) -> list[tuple[int, int, int]]:
+    """Minimal generator degrees of the staircase with row partitions
+    p3, p2, p1, in increasing order.
+
+    Index rows from 0 and read a row past a partition's end as 0. The
+    product of the first a A-, b B- and c C-forms vanishes on the lines
+    of direction 3 iff every row past a has at most b cells, that is
+    b >= p3[a]; likewise c >= p2[a] and c >= p1[b]. Call this up-set U.
+    A point of an up-set is minimal iff none of its three predecessors
+    lies in it. Given (a, b) with b >= p3[a], the least c in U is
+    c = max(p2[a], p1[b]), and (a, b, c) is minimal unless its
+    a-predecessor lies in U (a > 0, p3[a-1] <= b and p2[a-1] <= c) or
+    its b-predecessor does (b > p3[a] and p1[b-1] <= c). For
+    a > max(|p3|, |p2|), rows a - 1 and a of p3 and p2 are 0, so the
+    a-predecessor lies in U; for b > max(p3_1, |p1|), b > p3[a] and
+    p1[b-1] = 0, so the b-predecessor does. So the walk stops at those
+    bounds. U is the intersection of the three directions' up-sets, each
+    generated by its corners, so these are also the minimal elements of
+    the componentwise maxima of one corner per direction.
+    """
+    da, db, _ = _staircase_d(p3, p2, p1)
+    p3, p2, p1 = _padded(p3, da + 1), _padded(p2, da + 1), _padded(p1, db + 1)
+    out = []
+    for a in range(da + 1):
+        for b in range(p3[a], db + 1):
+            c = max(p2[a], p1[b])
+            if a and p3[a - 1] <= b and p2[a - 1] <= c:
+                continue
+            if b > p3[a] and p1[b - 1] <= c:
+                continue
+            out.append((a, b, c))
+    return out
+
 
 def points_generator_degrees(partition) -> set[tuple[int, int]]:
     """Degrees of the minimal generators of a staircase of points in a
@@ -142,67 +185,29 @@ def points_generator_degrees(partition) -> set[tuple[int, int]]:
 
     The staircase with rows ``partition`` (weakly decreasing) has one
     generator per outer corner: (0, p_1), (r, 0), and (i, p_{i+1}) at
-    every strict descent. The empty partition yields the unit ideal's
-    single generator in degree (0, 0).
+    every strict descent. These are _minimal_degrees with one direction.
+    The empty partition yields the unit ideal's single generator in
+    degree (0, 0).
     """
     p = tuple(partition)
     if any(a < b for a, b in zip(p, p[1:])) or any(a <= 0 for a in p):
         raise ValueError(f"not a partition: {partition!r}")
-    if not p:
-        return {(0, 0)}
-    r = len(p)
-    out = {(0, p[0]), (r, 0)}
-    for i in range(1, r):
-        if p[i] < p[i - 1]:
-            out.add((i, p[i]))
-    return out
+    return {(a, b) for a, b, _ in _minimal_degrees(p, (), ())}
 
 
 @dataclass(frozen=True)
 class DegreeSets:
-    by_direction: dict  # direction -> set of degree triples
-    combined: frozenset  # componentwise maxima over one pick per direction
-    minimal: frozenset  # minimal elements of combined
-
-
-def _leq(s, t) -> bool:
-    return all(a <= b for a, b in zip(s, t))
-
-
-def minimal_elements(triples) -> frozenset:
-    triples = set(triples)
-    return frozenset(
-        t for t in triples
-        if not any(s != t and _leq(s, t) for s in triples)
-    )
+    minimal: frozenset  # minimal generator degrees
 
 
 def degree_sets(X: VarietyOfLines) -> DegreeSets:
-    """Per-direction generator degrees and their combined minimal set.
+    """The minimal generator degrees of a Ferrers variety.
 
-    Needs a Ferrers variety. Row partitions do not depend on labels, so
-    they are read off X as it is labeled.
+    Row partitions do not depend on labels, so they are read off X as
+    it is labeled.
     """
     _ferrers_check(X)
-    masks = line_masks(X)
-    by_direction = {}
-    for h, families in DIRECTION_FAMILIES.items():
-        # a point degree (p, q) of direction h, with 0 for the free family
-        by_direction[h] = {
-            tuple(dict(zip(families, pair)).get(f, 0) for f in (1, 2, 3))
-            for pair in points_generator_degrees(_partition(masks[h][0]))
-        }
-    combined = frozenset(
-        tuple(max(coords) for coords in zip(t3, t2, t1))
-        for t3, t2, t1 in product(
-            by_direction[3], by_direction[2], by_direction[1]
-        )
-    )
-    return DegreeSets(
-        by_direction=by_direction,
-        combined=combined,
-        minimal=minimal_elements(combined),
-    )
+    return DegreeSets(minimal=frozenset(_minimal_degrees(*_partitions(X))))
 
 
 @dataclass(frozen=True)
@@ -227,21 +232,15 @@ def minimal_generators(X: VarietyOfLines) -> GeneratorSet:
     profile A-hyperplanes, b B-hyperplanes and c C-hyperplanes; original
     labels are reported even when the variety had to be relabeled.
     """
-    _, check = _canonical(X)
-    sets = degree_sets(X)
-    degrees = tuple(sorted(sets.minimal))
+    check = _ferrers_check(X)
+    degrees = tuple(_minimal_degrees(*_partitions(X)))
     # inverse_prefixes[f] = original labels ordered by new label
-    inverse_prefixes = {}
-    for f in (1, 2, 3):
-        perm = check.perms[f - 1]
-        order = sorted(range(1, X.d[f - 1] + 1), key=lambda old: perm[old - 1])
-        inverse_prefixes[f] = order
-    products = tuple(
-        _product_string(deg, inverse_prefixes) for deg in degrees
-    )
-    literal = all(
-        check.perms[f - 1] == tuple(range(1, X.d[f - 1] + 1)) for f in (1, 2, 3)
-    )
+    inverse_prefixes = {
+        f: sorted(range(1, n + 1), key=lambda old: perm[old - 1])
+        for f, n, perm in zip((1, 2, 3), X.d, check.perms)
+    }
+    products = tuple(_product_string(deg, inverse_prefixes) for deg in degrees)
+    literal = all(perm == tuple(range(1, n + 1)) for n, perm in zip(X.d, check.perms))
     return GeneratorSet(
         degrees=degrees,
         products=products,
@@ -254,21 +253,23 @@ def minimal_generators(X: VarietyOfLines) -> GeneratorSet:
 # ---------------------------------------------------------------------------
 
 def delta_hilbert(X: VarietyOfLines, box) -> list:
-    """0/1 array over the box: 0 where some minimal degree divides.
-
-    Row (i, j) is 0 from the least k of a minimal degree m with
-    m_i <= i and m_j <= j on (1 before it), so each row is filled from
-    the minimal degrees instead of testing each cell against them."""
+    """0/1 array over the box: 1 exactly off the up-set U of
+    _minimal_degrees, that is where j < p3[i], k < p2[i] or k < p1[j].
+    Put differently, (A_{i+1}, B_{j+1}, C_{k+1}) lies on a line of the
+    literal staircase. Row (i, j) is all 1 when j < p3[i], and otherwise
+    1 below max(p2[i], p1[j])."""
     # a bad or oversized box is reported before a non-Ferrers X
     bi, bj, bk = check_table_box(box)
-    minimal = degree_sets(X).minimal
+    _ferrers_check(X)
+    p3, p2, p1 = _partitions(X)
+    p3, p2, p1 = _padded(p3, bi + 1), _padded(p2, bi + 1), _padded(p1, bj + 1)
     size = bk + 1
     table = []
     for i in range(bi + 1):
         plane = []
         for j in range(bj + 1):
-            first = min([size] + [m[2] for m in minimal if m[0] <= i and m[1] <= j])
-            plane.append([1] * first + [0] * (size - first))
+            ones = size if j < p3[i] else min(size, max(p2[i], p1[j]))
+            plane.append([1] * ones + [0] * (size - ones))
         table.append(plane)
     return table
 
@@ -406,26 +407,25 @@ def grid_resolution(a: int, b: int, c: int) -> GridResolution:
 # companion construction
 # ---------------------------------------------------------------------------
 
+def _staircase(p3, p2, p1) -> VarietyOfLines:
+    """The literal staircase with row partitions p3, p2, p1 in the least
+    box that holds it, so it is compact."""
+
+    def cells(p):
+        return {(r, c) for r, size in enumerate(p, start=1) for c in range(1, size + 1)}
+
+    return make_variety(_staircase_d(p3, p2, p1), cells(p3), cells(p2), cells(p1))
+
+
 def ferrers_companion(X: VarietyOfLines) -> VarietyOfLines:
     """The Ferrers variety with the same three slice partitions as X.
 
     Each direction's diagram is replaced by the left-justified
-    staircase of its row partition; the result is compacted. Requires X
-    to be arithmetically Cohen-Macaulay.
+    staircase of its row partition, in the least box that holds them.
+    Requires X to be arithmetically Cohen-Macaulay.
     """
     if not acm_decision(X):
         raise NotAcm("companion construction needs an ACM variety")
-    masks = line_masks(X)
-    staircases = {}
-    for h in (3, 2, 1):
-        partition = _partition(masks[h][0])
-        staircases[h] = {
-            (r, c)
-            for r, size in enumerate(partition, start=1)
-            for c in range(1, size + 1)
-        }
-    companion = compact(
-        make_variety(X.d, staircases[3], staircases[2], staircases[1])
-    )
+    companion = _staircase(*_partitions(X))
     assert is_ferrers_variety(companion).ok
     return companion

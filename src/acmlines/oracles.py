@@ -46,9 +46,8 @@ from itertools import product, zip_longest
 from math import comb, prod
 from operator import itemgetter
 
-from .criteria import acm_decision
 from .criteria import is_acm  # noqa: F401  perfbench/selftest.py traces this binding
-from .errors import BoxTooSmallWarning, EmptyVariety, SizeLimit
+from .errors import BoxTooSmallWarning, EmptyVariety, NotAcm, SizeLimit
 from .ferrers import ferrers_companion
 from .graphs import Graph, _bits, build_graph
 from .linalg import (
@@ -360,13 +359,12 @@ def generator_degree_scan(X: VarietyOfLines, box) -> dict:
     whose minimal degrees are X's (a measured fact on the small boxes,
     see the tests). d_C is exactly the maximum minimal degree per axis.
     Let C have row partitions p3 (A x B), p2 (A x C) and p1 (B x C), so
-    d_C = (max(|p3|, |p2|), max(p3_1, |p1|), max(p2_1, p1_1)). Each
-    direction's corners lie in its (|p|, p_1) box, so no combined degree
-    exceeds d_C. Say |p3| >= |p2|. The combined degree (|p3|, 0, 0) v
-    (0, 0, p2_1) v (0, 0, p1_1) has B-degree 0, so every combined degree
-    below it takes direction 3's only corner with B-degree 0, (|p3|, 0),
-    and some minimal generator has A-degree d_C,1. The case |p2| > |p3|
-    uses C-degree 0 instead, and the other axes are alike.
+    d_C = (max(|p3|, |p2|), max(p3_1, |p1|), max(p2_1, p1_1)), which
+    bounds a, b and c = max(p2[a], p1[b]) in ferrers._minimal_degrees.
+    Say |p3| >= |p2|. Then (|p3|, 0, p1_1) lies in that rule's up-set U
+    and is minimal: one less a fails b >= p3[|p3| - 1], and one less c
+    fails c >= p1[0]. So some minimal generator has A-degree d_C,1. The
+    case |p2| > |p3| uses (|p2|, |p1|, 0), and the other axes are alike.
 
     Only the box clipped to X.d is scanned, because no minimal generator
     has t_a > d_a. Say t_a > d_a. Then axis a is saturated at t - e_a
@@ -383,13 +381,15 @@ def generator_degree_scan(X: VarietyOfLines, box) -> dict:
     """
     box = check_box(box)
     X = compact(X)
-    if not X.is_empty and acm_decision(X):
+    try:
         needed = ferrers_companion(X).d
-        if any(n > b for n, b in zip(needed, box)):
-            warnings.warn(
-                f"box {box} may miss generators up to {needed}",
-                BoxTooSmallWarning,
-            )
+    except NotAcm:
+        needed = (0, 0, 0)
+    if any(n > b for n, b in zip(needed, box)):
+        warnings.warn(
+            f"box {box} may miss generators up to {needed}",
+            BoxTooSmallWarning,
+        )
     memo: dict = {}
     kernels: dict[tuple, list[dict]] = {}
     found: dict[tuple, int] = {}

@@ -7,6 +7,7 @@ from itertools import product
 
 from .criteria import is_acm  # noqa: F401  perfbench/selftest.py traces this binding
 from .errors import BadParameter, SizeLimit
+from .ferrers import _staircase
 from .variety import (
     DIRECTION_FAMILIES,
     VarietyOfLines,
@@ -104,20 +105,11 @@ def random_partition(rng, max_rows: int, max_cols: int) -> tuple[int, ...]:
 
 
 def random_ferrers_variety(rng, dmax: int) -> VarietyOfLines:
-    """Nonempty compacted variety whose three diagrams are staircases;
-    dmax must be an integer in 1..MAX_DMAX."""
+    """Nonempty compact variety whose three diagrams are staircases with
+    random row partitions p3, p2, p1 (in that order); dmax must be an
+    integer in 1..MAX_DMAX."""
     _check_dmax(dmax)
     while True:
         parts = [random_partition(rng, dmax, dmax) for _ in range(3)]
         if any(parts):
-            return _variety(
-                (dmax, dmax, dmax),
-                {
-                    h: {
-                        (r, c)
-                        for r, size in enumerate(partition, start=1)
-                        for c in range(1, size + 1)
-                    }
-                    for h, partition in zip((3, 2, 1), parts)
-                },
-            )
+            return _staircase(*parts)

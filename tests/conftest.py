@@ -7,8 +7,9 @@ generator scan over the whole box, the Hilbert tables and compaction
 as they were computed cell by cell and family by family, the Ferrers
 checks on row sets of permuted varieties, the Hilbert
 oracle as literal evaluation-matrix ranks, Reisner's face-ring test
-link by link, and the complete-intersection rectangle rule and grid
-Hilbert formula that generator data replaced."""
+link by link, the complete-intersection rectangle rule and grid
+Hilbert formula that generator data replaced, and a Ferrers variety's
+generator degrees as the minimal elements of a product of corners."""
 
 import itertools
 import random
@@ -35,7 +36,7 @@ from acmlines import (
 )
 from acmlines.criteria import _PATTERN_FAMILY_SEQS, _pattern_witness
 from acmlines.graphs import canonical_cycle
-from acmlines.ferrers import FerrersCheck, _leq, degree_sets
+from acmlines.ferrers import FerrersCheck
 from acmlines.linalg import bareiss_rank, sparse_rank
 from acmlines.oracles import (
     _boxrange,
@@ -507,14 +508,60 @@ def hilbert_oracle_by_nodes(X, box):
     return box_table(box, lambda deg: _rank3_by_nodes(deg, X, memo))
 
 
+def _leq(s, t):
+    return all(a <= b for a, b in zip(s, t))
+
+
+def corner_degrees_by_descents(p):
+    """points_generator_degrees(p) read off the descents of the partition
+    p: (0, p_1), (r, 0) and (i, p_{i+1}) at every strict descent, and
+    {(0, 0)} when p is empty."""
+    if not p:
+        return {(0, 0)}
+    out = {(0, p[0]), (len(p), 0)}
+    for i in range(1, len(p)):
+        if p[i] < p[i - 1]:
+            out.add((i, p[i]))
+    return out
+
+
+def minimal_degrees_by_product(X):
+    """degree_sets(X).minimal as a Ferrers variety's degrees were once
+    built: each direction's corners as degree triples (0 in its free
+    family), the componentwise maxima over one corner per direction, and
+    the minimal elements of those by a test of every pair."""
+    by_direction = [
+        {
+            tuple(dict(zip(families, pair)).get(f, 0) for f in (1, 2, 3))
+            for pair in corner_degrees_by_descents(row_partition(X, h))
+        }
+        for h, families in DIRECTION_FAMILIES.items()
+    ]
+    combined = {tuple(map(max, *picks)) for picks in itertools.product(*by_direction)}
+    return frozenset(
+        t for t in combined if not any(s != t and _leq(s, t) for s in combined)
+    )
+
+
 def delta_hilbert_by_leq(X, box):
     """delta_hilbert's table, each cell tested against every minimal
-    degree."""
+    degree of minimal_degrees_by_product."""
     box = check_box(box)
-    minimal = degree_sets(X).minimal
+    minimal = minimal_degrees_by_product(X)
     return box_table(
         box, lambda deg: 0 if any(_leq(m, deg) for m in minimal) else 1
     )
+
+
+def staircase_by_compaction(d, p3, p2, p1):
+    """The literal staircase with row partitions p3, p2, p1 declared in
+    the box d, then compacted: how the companion and the Ferrers sampler
+    once built it."""
+
+    def cells(p):
+        return {(r, c) for r, size in enumerate(p, start=1) for c in range(1, size + 1)}
+
+    return compact(make_variety(d, cells(p3), cells(p2), cells(p1)))
 
 
 def _row_sets(X, direction):

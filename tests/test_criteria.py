@@ -153,6 +153,13 @@ def test_pattern_search_time_is_set_by_the_used_labels():
     assert time.monotonic() - started < 0.3
 
 
+def test_numeric_criteria_time_is_set_by_the_rows_with_lines():
+    X = make_variety((1000, 1, 1), u3={(1, 1)})
+    started = time.monotonic()
+    assert is_acm(X).acm
+    assert time.monotonic() - started < 0.3
+
+
 def test_numeric_criteria_match_mu_loops_on_every_small_variety(small_population):
     for X in small_population:
         M = multiplicity_tensor(X)
@@ -162,10 +169,13 @@ def test_numeric_criteria_match_mu_loops_on_every_small_variety(small_population
 
 def test_numeric_criteria_match_mu_loops_on_dense_random_varieties():
     # dense dmax-4 inputs: some 6-patterns there have two candidate
-    # second triple points, which no 2x2x2 variety offers
+    # second triple points, which no 2x2x2 variety offers; a quarter of
+    # them also re-declared with unused hyperplanes, rows with no line
     rng = random.Random(4)
-    for _ in range(400):
-        M = multiplicity_tensor(random_variety(rng, 4, 0.6))
+    draws = [random_variety(rng, 4, 0.6) for _ in range(400)]
+    draws += [scattered(rng, X, 2) for X in draws[:100]]
+    for X in draws:
+        M = multiplicity_tensor(X)
         for n, criterion in _NUMERIC_CRITERIA.items():
             assert criterion(M) == numeric_by_mu(M, n), (M, n)
 

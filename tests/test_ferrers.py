@@ -26,6 +26,7 @@ from acmlines import (
     resembles_ferrers,
     row_partition,
 )
+from acmlines.ferrers import _staircase
 from conftest import (
     CI_EXAMPLE,
     CORNER,
@@ -38,8 +39,12 @@ from conftest import (
     TWO_TRIPLE_POINTS,
     assert_ferrers_checks_match_the_row_sets,
     complete_intersection_by_rectangles,
+    corner_degrees_by_descents,
+    delta_hilbert_by_leq,
     grid_hilbert_by_formula,
+    minimal_degrees_by_product,
     scattered,
+    staircase_by_compaction,
 )
 
 
@@ -111,13 +116,36 @@ def test_corner_degrees_frozen_values():
 
 def test_degree_sets_full_box():
     ds = degree_sets(FULL_BOX_432)
-    assert set(ds.by_direction[3]) == {(4, 0, 0), (0, 3, 0)}
-    assert set(ds.by_direction[2]) == {(4, 0, 0), (0, 0, 2)}
-    assert set(ds.by_direction[1]) == {(0, 3, 0), (0, 0, 2)}
-    assert set(ds.combined) == {
-        (4, 3, 2), (4, 3, 0), (4, 0, 2), (0, 3, 2),
-    }
     assert set(ds.minimal) == {(4, 3, 0), (4, 0, 2), (0, 3, 2)}
+
+
+def test_corner_degrees_equal_the_descents_on_every_partition_up_to_five():
+    partitions = [
+        tuple(sorted(parts, reverse=True))
+        for rows in range(6)
+        for parts in itertools.combinations_with_replacement(range(1, 6), rows)
+    ]
+    assert len(partitions) == 252
+    for p in partitions:
+        assert points_generator_degrees(p) == corner_degrees_by_descents(p), p
+
+
+def test_degree_rule_equals_the_corner_product_on_every_small_ferrers_variety(
+    small_population,
+):
+    # also each staircase against the compacted build it replaced, and the
+    # companion against the staircase of the same partitions
+    ferrers = 0
+    for X in small_population:
+        parts = tuple(row_partition(X, h) for h in (3, 2, 1))
+        assert _staircase(*parts) == staircase_by_compaction(X.d, *parts), X
+        if not is_ferrers_variety(X).ok:
+            continue
+        ferrers += 1
+        assert degree_sets(X).minimal == minimal_degrees_by_product(X), X
+        assert delta_hilbert(X, (3, 2, 3)) == delta_hilbert_by_leq(X, (3, 2, 3)), X
+        assert ferrers_companion(X) == _staircase(*parts), X
+    assert ferrers == 1179
 
 
 def test_minimal_generators_full_box():

@@ -43,6 +43,7 @@ from acmlines.oracles import _boxrange, _kernel3
 from acmlines.variety import line_masks, permute_masks
 from acmlines.sampling import random_variety
 from acmlines.criteria import _NUMERIC_CRITERIA
+from acmlines.ferrers import _staircase
 from acmlines.graphs import Graph
 from conftest import (
     CI_EXAMPLE,
@@ -58,10 +59,12 @@ from conftest import (
     hilbert_oracle_by_nodes,
     hilbert_oracle_naive,
     membership_matrices,
+    minimal_degrees_by_product,
     mu_by_matrices,
     numeric_by_mu,
     reisner_cm_by_links,
     scan_unclipped,
+    staircase_by_compaction,
 )
 
 FAMILY_ORDERS = list(itertools.permutations((1, 2, 3)))
@@ -84,7 +87,10 @@ def varieties(draw, dmax=3, allow_empty=False):
 
 
 @st.composite
-def staircase_varieties(draw, dmax=3):
+def partition_triples(draw, dmax=3):
+    """Row partitions (p3, p2, p1), not all empty, with at most dmax
+    rows of at most dmax cells."""
+
     def partition():
         nrows = draw(st.integers(0, dmax))
         parts = sorted(
@@ -95,18 +101,16 @@ def staircase_varieties(draw, dmax=3):
     p3, p2, p1 = partition(), partition(), partition()
     if not (p3 or p2 or p1):
         p3 = (1,)
+    return p3, p2, p1
 
-    def cells(parts):
-        return {
-            (r + 1, c + 1) for r, width in enumerate(parts) for c in range(width)
-        }
 
+@st.composite
+def staircase_varieties(draw, dmax=3):
+    p3, p2, p1 = draw(partition_triples(dmax))
     d1 = max(len(p3), len(p2))
     d2 = max(p3[0] if p3 else 0, len(p1))
     d3 = max(p2[0] if p2 else 0, p1[0] if p1 else 0)
-    return compact(
-        make_variety((d1, d2, d3), u3=cells(p3), u2=cells(p2), u1=cells(p1))
-    )
+    return staircase_by_compaction((d1, d2, d3), p3, p2, p1)
 
 
 @given(varieties())
@@ -266,8 +270,19 @@ def test_generator_degrees_form_antichain(X):
         for b in ds.minimal:
             if a != b:
                 assert not all(x <= y for x, y in zip(a, b))
-    for deg in ds.combined:
-        assert any(all(x <= y for x, y in zip(m, deg)) for m in ds.minimal)
+    assert ds.minimal == minimal_degrees_by_product(X)
+
+
+@given(
+    partition_triples(dmax=4),
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+)
+@settings(max_examples=60, deadline=None)
+def test_staircase_equals_the_compacted_build(parts, extra):
+    X = _staircase(*parts)
+    d = tuple(n + e for n, e in zip(X.d, extra))
+    assert X == staircase_by_compaction(d, *parts) and X.is_compact()
+    assert degree_sets(X).minimal == minimal_degrees_by_product(X)
 
 
 @given(staircase_varieties())
