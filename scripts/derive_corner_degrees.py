@@ -16,14 +16,8 @@ as (column gaps, row lengths).
 
 import argparse
 import sys
-import warnings
 
-from acmlines import (
-    BoxTooSmallWarning,
-    generator_degree_scan,
-    make_variety,
-    points_generator_degrees,
-)
+from acmlines import generator_degree_scan, make_variety, points_generator_degrees
 
 
 def staircase_points_variety(partition):
@@ -47,9 +41,7 @@ def main(argv=None):
 
     X = staircase_points_variety(partition)
     box = (len(partition) + 2, (partition[0] if partition else 0) + 2, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoxTooSmallWarning)
-        scan = generator_degree_scan(X, box)
+    scan = generator_degree_scan(X, box)
     jumps = sorted((i, j) for (i, j, k), n in scan.items() if n and k == 0)
     print("rank oracle: ", jumps)
     return 0 if jumps == sorted(points_generator_degrees(partition)) else 1

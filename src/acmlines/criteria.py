@@ -18,7 +18,7 @@ from functools import reduce
 from itertools import combinations
 from operator import or_
 
-from .errors import BadN, CriteriaDisagreement
+from .errors import BadN, CriteriaDisagreement, OutOfBounds
 from .graphs import (
     _bits,
     _complement_masks,
@@ -58,6 +58,8 @@ class MultiplicityTensor:
     slices: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
 
     def mu(self, i: int, j: int, k: int) -> int:
+        if not all(1 <= n <= m for n, m in zip((i, j, k), self.d)):
+            raise OutOfBounds(f"point {(i, j, k)} outside d={self.d}")
         r3, r2, r1 = _rows(self)
         i, j, k = i - 1, j - 1, k - 1
         return (r3[i] >> j & 1) + (r2[i] >> k & 1) + (r1[j] >> k & 1)

@@ -68,4 +68,5 @@ class UnusedHyperplaneWarning(UserWarning):
 
 
 class BoxTooSmallWarning(UserWarning):
-    """A degree scan ran on a box that may cut off guaranteed generators."""
+    """A degree scan ran on a box that does not hold the compact d, past
+    which no minimal generator lies."""

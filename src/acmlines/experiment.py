@@ -21,7 +21,6 @@ from .errors import BadParameter, CriteriaDisagreement
 from .oracles import _boxrange, hilbert_oracle
 from .sampling import check_sampling, random_variety
 from .variety import (
-    VarietyOfLines,
     _is_int,
     check_table_box,
     variety_to_dict,
@@ -89,17 +88,14 @@ def run_hf_experiment(
     seed: int | None = None,
     p: float = 0.4,
     out_dir=None,
-    fixed_inputs: tuple[VarietyOfLines, ...] = (),
 ) -> ExperimentReport:
     """Run the companion Hilbert-function comparison.
 
-    Deterministic for a fixed seed. ``fixed_inputs`` are consumed
-    before any random sampling, one per trial; they must be ACM.
-    Sampled candidates are screened by acm_decision (route 1 alone); a
-    trial that finds no ACM candidate in ATTEMPTS_PER_TRIAL draws is
-    skipped. Every accepted variety, sampled or fixed, then goes through
-    is_acm once, so all three routes agree on each variety the report
-    counts; a disagreement raises CriteriaDisagreement.
+    Deterministic for a fixed seed. Sampled candidates are screened by
+    acm_decision (route 1 alone); a trial that finds no ACM candidate
+    in ATTEMPTS_PER_TRIAL draws is skipped. Every accepted variety then
+    goes through is_acm once, so all three routes agree on each variety
+    the report counts; a disagreement raises CriteriaDisagreement.
     """
     if not (_is_int(trials) and trials >= 0):
         raise BadParameter(f"trials must be a non-negative integer, got {trials!r}")
@@ -107,26 +103,17 @@ def run_hf_experiment(
     check_sampling(dmax, p)
     rng = random.Random(seed)
     report = ExperimentReport(trials=trials, box=box, seed=seed)
-    queue = list(fixed_inputs)
     for trial in range(trials):
-        if queue:
-            X = queue.pop(0)
-            if not is_acm(X).acm:
-                continue
+        for _ in range(ATTEMPTS_PER_TRIAL):
+            X = random_variety(rng, dmax, p)
+            if acm_decision(X):
+                break
         else:
-            X = None
-            for _ in range(ATTEMPTS_PER_TRIAL):
-                candidate = random_variety(rng, dmax, p)
-                if acm_decision(candidate):
-                    X = candidate
-                    break
-            if X is None:
-                continue
-            if not is_acm(X).acm:
-                raise CriteriaDisagreement(
-                    f"acm_decision accepts {variety_to_json(X)}, "
-                    f"is_acm rejects it"
-                )
+            continue
+        if not is_acm(X).acm:
+            raise CriteriaDisagreement(
+                f"acm_decision accepts {variety_to_json(X)}, is_acm rejects it"
+            )
         report.acm_found += 1
         companion = ferrers_companion(X)
         report.companions_built += 1

@@ -47,8 +47,7 @@ from math import comb, prod
 from operator import itemgetter
 
 from .criteria import is_acm  # noqa: F401  perfbench/selftest.py traces this binding
-from .errors import BoxTooSmallWarning, EmptyVariety, NotAcm, SizeLimit
-from .ferrers import ferrers_companion
+from .errors import BoxTooSmallWarning, EmptyVariety, SizeLimit
 from .graphs import Graph, _bits, build_graph
 from .linalg import (
     bareiss_rank,
@@ -354,18 +353,6 @@ def generator_degree_scan(X: VarietyOfLines, box) -> dict:
     d_a <= t_a, the copy rule of _grown_rows gives the rows. The counts
     do not depend on labels, so X is compacted first.
 
-    Warns when the box cuts off generators of an ACM variety, that is
-    when it does not hold the companion C = ferrers_companion(X)'s d,
-    whose minimal degrees are X's (a measured fact on the small boxes,
-    see the tests). d_C is exactly the maximum minimal degree per axis.
-    Let C have row partitions p3 (A x B), p2 (A x C) and p1 (B x C), so
-    d_C = (max(|p3|, |p2|), max(p3_1, |p1|), max(p2_1, p1_1)), which
-    bounds a, b and c = max(p2[a], p1[b]) in ferrers._minimal_degrees.
-    Say |p3| >= |p2|. Then (|p3|, 0, p1_1) lies in that rule's up-set U
-    and is minimal: one less a fails b >= p3[|p3| - 1], and one less c
-    fails c >= p1[0]. So some minimal generator has A-degree d_C,1. The
-    case |p2| > |p3| uses (|p2|, |p1|, 0), and the other axes are alike.
-
     Only the box clipped to X.d is scanned, because no minimal generator
     has t_a > d_a. Say t_a > d_a. Then axis a is saturated at t - e_a
     and at t. By the value-coordinate split, I_t is the direct sum of
@@ -377,17 +364,14 @@ def generator_degree_scan(X: VarietyOfLines, box) -> dict:
     of node t_a's kernel at node t_a + 1. So the grown span is all of
     I_t and the count is 0. The kernels past d are never needed either,
     since t + e_b is past d whenever t is. The dict is the one the full
-    box gives, key order included: it only holds nonzero counts.
+    box gives, key order included: it only holds nonzero counts. So the
+    scan warns exactly when the box, not d, sets the clip on some axis.
     """
     box = check_box(box)
     X = compact(X)
-    try:
-        needed = ferrers_companion(X).d
-    except NotAcm:
-        needed = (0, 0, 0)
-    if any(n > b for n, b in zip(needed, box)):
+    if any(b < n for b, n in zip(box, X.d)):
         warnings.warn(
-            f"box {box} may miss generators up to {needed}",
+            f"box {box} may miss generators up to {X.d}",
             BoxTooSmallWarning,
         )
     memo: dict = {}

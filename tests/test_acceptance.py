@@ -280,15 +280,10 @@ def test_criterion_08_generator_scan_matches_degrees():
 def test_criterion_09_companion_hilbert_experiment():
     started = time.monotonic()
 
-    # The smallest interesting pair first, as a pinned fixed input.
+    # The smallest interesting pair first, pinned directly.
     assert ferrers_companion(SKEW_CORNER) == CORNER
-    report = run_hf_experiment(
-        trials=500,
-        dmax=3,
-        box=(4, 4, 4),
-        seed=42,
-        fixed_inputs=(SKEW_CORNER,),
-    )
+    assert hilbert_oracle(SKEW_CORNER, (4, 4, 4)) == hilbert_function(CORNER, (4, 4, 4))
+    report = run_hf_experiment(trials=500, dmax=3, box=(4, 4, 4), seed=42)
     assert report.trials == 500
     assert report.successes + report.failures == report.companions_built
     assert report.companions_built >= 500  # every trial found an ACM variety

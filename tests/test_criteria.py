@@ -9,6 +9,7 @@ import pytest
 from acmlines import (
     BadN,
     EMPTY_VARIETY,
+    OutOfBounds,
     acm_decision,
     compact,
     criterion_hyp4_numeric,
@@ -62,6 +63,18 @@ def test_tensor_bound():
         for j in range(1, d2 + 1):
             for k in range(1, d3 + 1):
                 assert 0 <= M.mu(i, j, k) <= 3
+
+
+def test_tensor_refuses_points_outside_d():
+    # a negative index used to alias the last row, and an index past d
+    # used to read a shifted bit, a negative shift or a missing row
+    M = multiplicity_tensor(
+        make_variety((2, 2, 2), u3={(2, 2)}, u2={(2, 1)}, u1={(2, 1)})
+    )
+    assert M.mu(2, 2, 1) == 3
+    for point in ((0, 2, 1), (2, 2, 5), (2, 2, 0), (3, 1, 1)):
+        with pytest.raises(OutOfBounds):
+            M.mu(*point)
 
 
 def test_four_hyperplane_example_passes():

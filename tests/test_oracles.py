@@ -4,6 +4,7 @@ face-ring Cohen-Macaulay test."""
 import hashlib
 import json
 import random
+import re
 import time
 import warnings
 from operator import gt
@@ -17,6 +18,7 @@ from acmlines import (
     EMPTY_VARIETY,
     EmptyVariety,
     SizeLimit,
+    acm_decision,
     compact,
     degree_sets,
     delta_hilbert,
@@ -232,6 +234,30 @@ def test_scan_warns_when_box_cuts_degrees():
         generator_degree_scan(FULL_BOX_432, (2, 2, 2))
 
 
+def test_scan_warns_exactly_when_the_box_cuts_the_compact_d():
+    # No minimal generator lies past the compact d, so the scan at d is
+    # complete and silent, and one step less on any axis warns, ACM or
+    # not; a cut box that loses generators of a non-ACM draw is among them.
+    lost_non_acm = 0
+    for s in range(200):
+        X = random_variety(random.Random(s), 3, 0.5)
+        if s % 4 == 0:
+            X = scattered(random.Random(s), compact(X), 2)
+        d = compact(X).d
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BoxTooSmallWarning)
+            full = generator_degree_scan(X, d)
+        for a in range(3):
+            if d[a] == 0:
+                continue
+            box = d[:a] + (d[a] - 1,) + d[a + 1:]
+            with pytest.warns(BoxTooSmallWarning, match=re.escape(f"up to {d}")):
+                cut = generator_degree_scan(X, box)
+            assert cut == {t: n for t, n in full.items() if t[a] < d[a]}, (X, box)
+            lost_non_acm += cut != full and not acm_decision(X)
+    assert lost_non_acm
+
+
 def test_companion_gives_the_scan_and_the_oracle_on_every_small_acm_variety(
     route_verdicts,
 ):
@@ -242,7 +268,7 @@ def test_companion_gives_the_scan_and_the_oracle_on_every_small_acm_variety(
     # agree everywhere, since H is affine in t_a once t_a >= d_a - 1.
     acm = [X for X, v in route_verdicts[0] if v.acm]
     assert len(acm) == 1593
-    # The scan's box guard asks for C.d, the largest degree per axis.
+    # The largest scan degree per axis is C.d.
     for X in acm:
         C = ferrers_companion(X)
         expected = {m: 1 for m in degree_sets(C).minimal}
@@ -352,20 +378,14 @@ def test_random_variety_gives_up_on_a_tiny_p():
     assert time.monotonic() - started < 1.0
 
 
-def test_hf_experiment_checks_parameters_before_any_trial(tmp_path):
-    # checked on entry: also with no trials to run, and when fixed
-    # inputs cover every trial so that random_variety is never called
+def test_hf_experiment_checks_parameters_before_any_trial():
+    # checked on entry: also with no trials to run
     with pytest.raises(BadParameter):
         run_hf_experiment(trials=0, p=0.0)
     with pytest.raises(BadParameter):
         run_hf_experiment(trials=0, dmax=True)
     with pytest.raises(BadParameter):
         run_hf_experiment(trials=-3, seed=1)
-    with pytest.raises(BadParameter):
-        run_hf_experiment(
-            trials=1, p=0.0, out_dir=tmp_path, fixed_inputs=(SINGLE_LINE,)
-        )
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_hf_experiment_raises_when_the_screen_accepts_a_non_acm_variety(monkeypatch):

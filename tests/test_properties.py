@@ -429,11 +429,14 @@ def test_generator_scan_permutes_with_families():
         if is_acm(X).acm:
             continue
         checked += 1
-        scan = generator_degree_scan(X, box)
-        for sigma in FAMILY_ORDERS:
-            # new axis n is old axis sigma[n-1]
-            expected = {tuple(t[f - 1] for f in sigma): c for t, c in scan.items()}
-            assert generator_degree_scan(permute_families(X, sigma), box) == expected
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoxTooSmallWarning)
+            scan = generator_degree_scan(X, box)
+            for sigma in FAMILY_ORDERS:
+                # new axis n is old axis sigma[n-1]
+                expected = {tuple(t[f - 1] for f in sigma): c for t, c in scan.items()}
+                Y = permute_families(X, sigma)
+                assert generator_degree_scan(Y, box) == expected
 
 
 @given(
