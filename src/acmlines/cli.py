@@ -10,8 +10,8 @@ Subcommands:
 * ``ferrers``: per-direction staircase resemblance, partitions, and
   the consistent relabeling if one exists.
 * ``hilbert``: CSV table ``i,j,k,deltaH,H`` over a box, by the
-  staircase formula (``--method corollary``) or the rank oracle
-  (``--method oracle``).
+  staircase formula (``--method corollary``) or the linear-algebra
+  oracle (``--method oracle``).
 * ``gens``: minimal generator degrees and explicit products.
 * ``grid``: variety JSON of the grid of lines through a point set.
 * ``ci``: complete-intersection detection (two minimal generators).

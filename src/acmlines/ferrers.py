@@ -25,6 +25,7 @@ from .variety import (
     DIRECTION_FAMILIES,
     FAMILY_NAMES,
     VarietyOfLines,
+    _is_int,
     check_table_box,
     line_masks,
     make_variety,
@@ -377,8 +378,8 @@ def grid_resolution(a: int, b: int, c: int) -> GridResolution:
     the C-product. The 2x2 minors of the 3x2 matrix recover the three
     generators up to sign.
     """
-    if min(a, b, c) < 1:
-        raise ValueError("grid sizes must be positive")
+    if not all(_is_int(n) and n >= 1 for n in (a, b, c)):
+        raise ValueError("grid sizes must be positive integers")
     pa = _all_family_product(1, a)
     pb = _all_family_product(2, b)
     pc = _all_family_product(3, c)

@@ -1,18 +1,17 @@
 """Independent oracles: Hilbert function, generator scan, face-ring test.
 
-The Hilbert oracle computes, for each multidegree, the rank of the
-evaluation matrix that pairs monomials with sample points on the lines
-(one factor's coordinate swept through deg+1 integer parameter values
-per line; hyperplane parameters are the integers 1, 2, 3, ...). The
-tests keep a literal transcription of that matrix as the reference; the
-oracle computes the same rank through the tensor structure of the point
-conditions, using only integer arithmetic. It works on the variety's
-slice bit rows (variety.line_masks) permuted by permute_masks to put its
-saturated factors first (f is saturated at deg when d_f <= deg_f + 1,
-so the value nodes include every hyperplane of f), and splits the
-problem along the first of them. Each node's problem lives in
-the other two degrees alone, so a table pays for each such pair once
-and every further degree of f is one lookup.
+Both linear-algebra oracles solve, per multidegree t, for a basis of
+the ideal's piece I_t: the polynomials that vanish at sample points on
+the lines (one factor's coordinate swept through deg+1 integer parameter
+values per line; hyperplane parameters are the integers 1, 2, 3, ...),
+in interpolation (value) coordinates and integer arithmetic. The tests
+keep the literal evaluation matrix as the reference. _kernel3 works on
+the slice bit rows (variety.line_masks) permuted by permute_masks to put
+the saturated factors first (f is saturated at deg when d_f <= deg_f +
+1, so the value nodes include every hyperplane of f), and splits along
+the first of them into one two-factor problem per node, each solved
+once per call. The Hilbert oracle is dim R_t - dim I_t on the core box
+min(box, max(d, 1)), continued affinely past it (see hilbert_oracle).
 
 The generator scan counts minimal ideal generators per multidegree as
 dim I_t minus the dimension spanned by degree-one multiples of lower
@@ -26,8 +25,8 @@ The scan walks only the box clipped to the declared hyperplane counts
 d. At a degree t with some t_a > d_a, nodes t_a and t_a + 1 of axis a
 both lie past every hyperplane of family a, the copied rows already
 span I_t, and so no minimal generator lies past d (the proof is in
-generator_degree_scan). So the scan's work is bounded by d, not by the
-box.
+generator_degree_scan). So the work of both oracles is bounded by d,
+not by the box.
 
 The face-ring route builds the simplicial complex whose facets are the
 vertex complements of the incidence-graph edges, and checks Reisner's
@@ -49,16 +48,12 @@ from operator import itemgetter
 from .criteria import is_acm  # noqa: F401  perfbench/selftest.py traces this binding
 from .errors import BoxTooSmallWarning, EmptyVariety, SizeLimit
 from .graphs import Graph, _bits, build_graph
-from .linalg import (
-    bareiss_rank,
-    extension_coeffs,
-    nullspace,
-    sparse_rank,
-)
+from .linalg import extension_coeffs, nullspace, sparse_rank
 from .variety import (
     VarietyOfLines,
     box_table,
     check_box,
+    check_table_box,
     compact,
     family_permutation,
     line_masks,
@@ -74,7 +69,7 @@ def _boxrange(box):
 
 
 # ---------------------------------------------------------------------------
-# structured oracle
+# kernels of the point conditions, and the Hilbert oracle
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=1024)
@@ -123,7 +118,7 @@ def _dense_kernel(sizes, conditions) -> list[dict]:
 
 
 def _conditions2(row, col, points):
-    """The _rank2 row, column and points as _condition_rows conditions."""
+    """The _kernel2 row, column and points as _condition_rows conditions."""
     return (
         [(r + 1, None) for r in _bits(row)]
         + [(None, c + 1) for c in _bits(col)]
@@ -152,32 +147,46 @@ def _fibres(j, row, col, points) -> dict[int, int]:
     }
 
 
-def _rank2(deg_pair, row, col, points, memo) -> int:
-    """dim of sum of row spaces v_r (x) Q, column spaces P (x) w_c and
-    single tensors v_b (x) w_c inside P (x) Q.
+def _kernel2(deg_pair, row, col, points, memo) -> list[dict]:
+    """Basis of the joint kernel, inside P (x) Q, of the row conditions
+    v_r (x) Q, the column conditions P (x) w_c and the single tensors
+    v_b (x) w_c, as sparse {(y, z): value} dicts over value-grid cells
+    (1-based).
 
     P has deg_pair[0]+1 value coordinates and indices up to
     len(points); Q has deg_pair[1]+1. row has bit r - 1 set for each
     row r and col bit c - 1 for each column c; points[b - 1] has bit
     c - 1 set for each point (b, c). The front view puts the saturated
     factors first, so when P is not saturated neither is Q.
+
+    Kept in the call's memo under (deg_pair, row, col, points), and so
+    is each fibre kernel under ("fibre", k, s).
     """
     key = (deg_pair, row, col, points)
     if key in memo:
         return memo[key]
     j, k = deg_pair
     if len(points) <= j + 1:
-        fibres = _fibres(j, row, col, points)
-        total = row.bit_count() * (k + 1) + sum(
-            min(s.bit_count(), k + 1) for s in fibres.values()
-        )
+        out = []
+        for y, s in _fibres(j, row, col, points).items():
+            if not s >> (k + 1):  # every vanishing node is a value node
+                out.extend(
+                    {(y, z): 1} for z in range(1, k + 2) if not s >> (z - 1) & 1
+                )
+                continue
+            fibre = memo.get(("fibre", k, s))
+            if fibre is None:
+                mat = [_eval_row(k + 1, c + 1) for c in _bits(s)]
+                fibre = memo[("fibre", k, s)] = nullspace(mat, k + 1)
+            out.extend(
+                {(y, z): v for z, v in enumerate(vec, start=1) if v}
+                for vec in fibre
+            )
     else:
         # neither side saturated: small dense block
-        total = bareiss_rank(
-            _condition_rows((j + 1, k + 1), _conditions2(row, col, points))
-        )
-    memo[key] = total
-    return total
+        out = _dense_kernel((j + 1, k + 1), _conditions2(row, col, points))
+    memo[key] = out
+    return out
 
 
 def _front_view(deg, X: VarietyOfLines, memo):
@@ -209,68 +218,6 @@ def _front_view(deg, X: VarietyOfLines, memo):
     return view
 
 
-def _rank3(deg, X: VarietyOfLines, memo) -> int:
-    view = _front_view(deg, X, memo)
-    if view is None:
-        # no factor saturated: dense, but then all degrees are small
-        sizes = tuple(t + 1 for t in deg)
-        return bareiss_rank(_condition_rows(sizes, _line_conditions(X)))
-    order, pick, rows, cols, points = view
-    i, j, k = pick(deg)
-    # The sum over the d_f = len(rows) front nodes and the rank at an
-    # empty node depend on the view and (j, k), not on i, so both are
-    # kept per (j, k); the empty rank, which may be a dense block, only
-    # once some i needs it. The nodes past d_f carry no rows or
-    # columns, so they all pose the empty node's problem.
-    key = ("sum", order, j, k)
-    sums = memo.get(key)
-    if sums is None:
-        front = sum(_rank2((j, k), r, c, points, memo) for r, c in zip(rows, cols))
-        sums = memo[key] = [front, None]
-    free = i + 1 - len(rows)
-    if not free:
-        return sums[0]
-    if sums[1] is None:
-        sums[1] = _rank2((j, k), 0, 0, points, memo)
-    return sums[0] + free * sums[1]
-
-
-def hilbert_oracle(X: VarietyOfLines, box) -> list:
-    """Hilbert function table over the box (inclusive bounds).
-
-    The table does not depend on labels, so X is compacted first and
-    unused hyperplanes cost nothing past that one pass."""
-    X = compact(X)
-    memo: dict = {}
-    return box_table(box, lambda deg: _rank3(deg, X, memo))
-
-
-# ---------------------------------------------------------------------------
-# generator degree scan
-# ---------------------------------------------------------------------------
-
-def _kernel2(deg_pair, row, col, points):
-    """Basis of the joint kernel of the _rank2 conditions, as sparse
-    {(y, z): value} dicts over value-grid cells (1-based)."""
-    j, k = deg_pair
-    if len(points) <= j + 1:
-        out = []
-        for y, s in _fibres(j, row, col, points).items():
-            if not s >> (k + 1):  # every vanishing node is a value node
-                out.extend(
-                    {(y, z): 1} for z in range(1, k + 2) if not s >> (z - 1) & 1
-                )
-            else:
-                mat = [_eval_row(k + 1, c + 1) for c in _bits(s)]
-                for vec in nullspace(mat, k + 1):
-                    out.append(
-                        {(y, z): v for z, v in enumerate(vec, start=1) if v}
-                    )
-        return out
-    # neither side saturated (see _rank2): small dense block
-    return _dense_kernel((j + 1, k + 1), _conditions2(row, col, points))
-
-
 def _kernel3(deg, X: VarietyOfLines, memo):
     """Basis of I_deg in value coordinates, sparse {(x,y,z): value}."""
     view = _front_view(deg, X, memo)
@@ -283,9 +230,54 @@ def _kernel3(deg, X: VarietyOfLines, memo):
     return [
         {unpermute((x, y, z)): v for (y, z), v in g.items()}
         for r, c, x in zip_longest(rows, cols, range(1, i + 2), fillvalue=0)
-        for g in _kernel2((j, k), r, c, points)
+        for g in _kernel2((j, k), r, c, points, memo)
     ]
 
+
+def hilbert_oracle(X: VarietyOfLines, box) -> list:
+    """Hilbert function table over the box (inclusive bounds).
+
+    The table does not depend on labels, so X is compacted first and
+    unused hyperplanes cost nothing past that one pass. H(t) = dim R_t -
+    dim I_t is solved on the core box min(box_a, max(d_a, 1)) only.
+
+    Along any axis a, H is affine in t_a once t_a >= d_a - 1. Then
+    factor a is saturated, and I_t is the direct sum of node slices
+    along a, one per value node x (the split of _front_view, which
+    generator_degree_scan's proof also uses), each in the other two
+    degrees alone. A node x <= d_a carries the lines on hyperplane x of
+    family a and the points of the other lines; each node past d_a
+    carries the points only, so all of those pose one problem. So
+    dim I_t = F + (t_a + 1 - d_a) E and dim R_t = (t_a + 1) G, with F,
+    E and G independent of t_a, and H(t) = 2 H(t - e_a) - H(t - 2 e_a)
+    once t_a - 2 >= d_a - 1. With core_a = max(d_a, 1) the core holds
+    t_a = core_a - 1 and core_a, both >= d_a - 1, so the rule fills
+    every t_a > core_a: axis 3 on the core's rows, then 2, then 1.
+    """
+    bi, bj, bk = box = check_table_box(box)
+    X = compact(X)
+    memo: dict = {}
+    table = box_table(
+        tuple(min(b, max(n, 1)) for b, n in zip(box, X.d)),
+        lambda t: prod(n + 1 for n in t) - len(_kernel3(t, X, memo)),
+    )
+    for plane in table:
+        for row in plane:
+            while len(row) <= bk:
+                row.append(2 * row[-1] - row[-2])
+        while len(plane) <= bj:
+            plane.append([2 * x - y for x, y in zip(plane[-1], plane[-2])])
+    while len(table) <= bi:
+        table.append([
+            [2 * x - y for x, y in zip(r1, r2)]
+            for r1, r2 in zip(table[-1], table[-2])
+        ])
+    return table
+
+
+# ---------------------------------------------------------------------------
+# generator degree scan
+# ---------------------------------------------------------------------------
 
 def _multiplied_rows(g: dict, axis: int, coeffs: list[int]):
     """The two degree-one multiples of a value vector, extended along
@@ -378,11 +370,8 @@ def generator_degree_scan(X: VarietyOfLines, box) -> dict:
     kernels: dict[tuple, list[dict]] = {}
     found: dict[tuple, int] = {}
     for t in _boxrange(tuple(map(min, box, X.d))):
-        i, j, k = t
-        dim_ring = (i + 1) * (j + 1) * (k + 1)
-        dim_ideal = dim_ring - _rank3(t, X, memo)
-        kernels[t] = _kernel3(t, X, memo) if dim_ideal else []
-        assert len(kernels[t]) == dim_ideal
+        kernels[t] = _kernel3(t, X, memo)
+        dim_ideal = len(kernels[t])
         if dim_ideal == 0:
             continue
         grown = sparse_rank(_grown_rows(t, kernels, X.d), dim_ideal)

@@ -58,7 +58,7 @@ def _is_int(x) -> bool:
 
 def _family_number(family) -> int:
     """Accept 1/2/3 or 'A'/'B'/'C' and return 1/2/3."""
-    if family in (1, 2, 3):
+    if _is_int(family) and family in (1, 2, 3):
         return family
     if family in FAMILY_NAMES:
         return FAMILY_NAMES.index(family) + 1
@@ -358,9 +358,9 @@ def grid_from_points(points: Iterable[tuple[int, int, int]]) -> VarietyOfLines:
 def remove_hyperplane(X: VarietyOfLines, family, index: int) -> VarietyOfLines:
     """Delete all lines lying in one coordinate hyperplane, then compact."""
     f = _family_number(family)
-    if not (1 <= index <= X.d[f - 1]):
+    if not (_is_int(index) and 1 <= index <= X.d[f - 1]):
         raise UnknownHyperplane(
-            f"{FAMILY_NAMES[f - 1]}{index} does not exist (d={X.d})"
+            f"{FAMILY_NAMES[f - 1]}{index!r} does not exist (d={X.d})"
         )
 
     def keep(direction):

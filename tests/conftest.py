@@ -6,7 +6,8 @@ edge-set graphs and 0/1 slice matrices the package once built, the
 generator scan over the whole box, the Hilbert tables and compaction
 as they were computed cell by cell and family by family, the Ferrers
 checks on row sets of permuted varieties, the Hilbert
-oracle as literal evaluation-matrix ranks, Reisner's face-ring test
+oracle as literal evaluation-matrix ranks and as node-by-node ranks
+over the whole box, Reisner's face-ring test
 link by link, the complete-intersection rectangle rule and grid
 Hilbert formula that generator data replaced, and a Ferrers variety's
 generator degrees as the minimal elements of a product of corners."""
@@ -41,12 +42,12 @@ from acmlines.linalg import bareiss_rank, sparse_rank
 from acmlines.oracles import (
     _boxrange,
     _condition_rows,
+    _conditions2,
+    _fibres,
     _front_view,
     _grown_rows,
     _kernel3,
     _line_conditions,
-    _rank2,
-    _rank3,
 )
 from acmlines.sampling import random_variety
 from acmlines.variety import (
@@ -443,8 +444,8 @@ def scan_unclipped(X, box):
     where the scan itself stops."""
     memo, kernels, found = {}, {}, {}
     for t in _boxrange(box):
-        dim_ideal = (t[0] + 1) * (t[1] + 1) * (t[2] + 1) - _rank3(t, X, memo)
-        kernels[t] = _kernel3(t, X, memo) if dim_ideal else []
+        kernels[t] = _kernel3(t, X, memo)
+        dim_ideal = len(kernels[t])
         if dim_ideal:
             count = dim_ideal - sparse_rank(_grown_rows(t, kernels, X.d), dim_ideal)
             if count:
@@ -486,9 +487,38 @@ def hilbert_oracle_naive(X, box):
     return box_table(box, lambda deg: bareiss_rank(evaluation_matrix(X, deg)))
 
 
+def _rank2(deg_pair, row, col, points, memo) -> int:
+    """dim of sum of row spaces v_r (x) Q, column spaces P (x) w_c and
+    single tensors v_b (x) w_c inside P (x) Q.
+
+    P has deg_pair[0]+1 value coordinates and indices up to
+    len(points); Q has deg_pair[1]+1. row has bit r - 1 set for each
+    row r and col bit c - 1 for each column c; points[b - 1] has bit
+    c - 1 set for each point (b, c). The front view puts the saturated
+    factors first, so when P is not saturated neither is Q.
+    """
+    key = (deg_pair, row, col, points)
+    if key in memo:
+        return memo[key]
+    j, k = deg_pair
+    if len(points) <= j + 1:
+        fibres = _fibres(j, row, col, points)
+        total = row.bit_count() * (k + 1) + sum(
+            min(s.bit_count(), k + 1) for s in fibres.values()
+        )
+    else:
+        # neither side saturated: small dense block
+        total = bareiss_rank(
+            _condition_rows((j + 1, k + 1), _conditions2(row, col, points))
+        )
+    memo[key] = total
+    return total
+
+
 def _rank3_by_nodes(deg, X, memo):
-    """_rank3 as one _rank2 sum over the front nodes at every degree,
-    before the sum was kept per (j, k)."""
+    """The evaluation rank at deg as one _rank2 sum over the front nodes,
+    at every degree of the box: the Hilbert oracle before it took dim
+    I_t from the kernels and continued the table affinely past d."""
     view = _front_view(deg, X, memo)
     if view is None:
         sizes = tuple(t + 1 for t in deg)
@@ -503,7 +533,8 @@ def _rank3_by_nodes(deg, X, memo):
 
 
 def hilbert_oracle_by_nodes(X, box):
-    """hilbert_oracle's table, each cell summed node by node."""
+    """hilbert_oracle's table, each cell of the box summed node by node
+    as a rank, with no affine continuation."""
     memo = {}
     return box_table(box, lambda deg: _rank3_by_nodes(deg, X, memo))
 

@@ -283,8 +283,9 @@ def test_grid_resolution_twists():
     small = grid_resolution(1, 1, 1)
     assert small.syzygy_twists == ((-1, -1, -1), (-1, -1, -1))
     assert small.generator_twists == ((-1, -1, 0), (-1, 0, -1), (0, -1, -1))
-    with pytest.raises(ValueError):
-        grid_resolution(0, 1, 1)
+    for sizes in [(0, 1, 1), (True, 1, 1), (1.5, 1, 1), (2, 1, "3")]:
+        with pytest.raises(ValueError):
+            grid_resolution(*sizes)
 
 
 def test_grid_resolution_matrix_structure():

@@ -39,7 +39,6 @@ from acmlines.oracles import (
     _grown_rows,
     _kernel3,
     _multiplied_rows,
-    _rank3,
 )
 from acmlines.sampling import random_ferrers_variety, random_variety
 from acmlines.variety import MAX_BOX_CELLS, check_table_box
@@ -178,9 +177,8 @@ def test_grown_span_lies_in_the_ideal_and_matches_the_multiples():
     for X, box in inputs:
         memo, kernels = {}, {}
         for t in _boxrange(box):
-            dim_ring = (t[0] + 1) * (t[1] + 1) * (t[2] + 1)
-            dim_ideal = dim_ring - _rank3(t, X, memo)
-            kernels[t] = _kernel3(t, X, memo) if dim_ideal else []
+            kernels[t] = _kernel3(t, X, memo)
+            dim_ideal = len(kernels[t])
             if not dim_ideal:
                 continue
             copied = _grown_rows(t, kernels, X.d)
@@ -207,6 +205,21 @@ def test_scan_work_is_bounded_by_d():
         elapsed = time.monotonic() - started
     assert [list(s.items()) for s in scans] == [list(s.items()) for s in expected]
     assert elapsed < 1.0
+
+
+def test_oracle_work_is_bounded_by_d():
+    # Criterion 8's first three staircases: a box far past d costs a
+    # solve on the core box min(box, max(d, 1)) and an affine fill, not
+    # a solve per cell.
+    rng = random.Random(83)
+    varieties = [random_ferrers_variety(rng, 3) for _ in range(3)]
+    box = (45, 45, 45)
+    expected = [hilbert_function(X, box) for X in varieties]
+    started = time.monotonic()
+    tables = [hilbert_oracle(X, box) for X in varieties]
+    elapsed = time.monotonic() - started
+    assert tables == expected
+    assert elapsed < 0.25
 
 
 def test_scan_compacts_its_input():

@@ -490,9 +490,13 @@ BOXES = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
 @example(make_variety((0, 0, 0)), (2, 0, 1))
 @example(make_variety((3, 0, 2), u2={(1, 1), (3, 2)}), (0, 4, 5))
 @example(make_variety((4, 4, 4), u3={(1, 1), (4, 4)}, u1={(2, 3)}), (5, 5, 5))
+@example(make_variety((2, 1, 3), u3={(1, 1), (2, 1)}, u2={(2, 3)}), (7, 6, 8))
+@example(make_variety((2, 2, 0), u3={(1, 2), (2, 1)}), (6, 5, 4))
+@example(make_variety((0, 0, 0)), (4, 3, 5))
 @settings(max_examples=80, deadline=None)
 def test_oracle_equals_the_node_by_node_sum(X, box):
-    # uncompacted draws, boxes smaller and larger than d on each axis
+    # uncompacted draws, boxes smaller and larger than d on each axis,
+    # so the oracle's affine fill past d meets the rank at every cell
     assert hilbert_oracle(X, box) == hilbert_oracle_by_nodes(X, box)
 
 

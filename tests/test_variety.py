@@ -168,6 +168,13 @@ def test_remove_hyperplane():
     assert all(i <= 3 for i, _ in Y.U3)
     with pytest.raises(UnknownHyperplane):
         remove_hyperplane(X, "C", 9)
+    # booleans and floats are not indices or family numbers
+    for family, index in [("A", True), ("A", 1.0), (True, 1), (1.0, 1), ("A", "1")]:
+        with pytest.raises(UnknownHyperplane):
+            remove_hyperplane(X, family, index)
+    with pytest.raises(UnknownHyperplane):
+        X.used_indices(True)
+    assert remove_hyperplane(X, 1, 1) == remove_hyperplane(X, "A", 1)
 
 
 def test_relabel_permutes_indices():
