@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
-"""Derive the generator degrees of a staircase of points from the rank
-oracle, independently of the closed-form corner rule.
+"""Derive the generator degrees of a staircase of points from the
+generator scan, independently of the closed-form corner rule.
 
 The corner rule (points_generator_degrees) is the one-direction case of
 the Ferrers degree rule: the minimal (a, b) with b >= p[a], rows past
 the partition's end read as 0. For the partition given on the command
 line, this script builds the staircase variety of points in two factors
 (a one-hyperplane third family makes every row a line through the same
-third coordinate), scans it for minimal generators with the rank
-oracle, and prints the degree pairs where new generators appear next to
-the rule's. It exits 1 when they differ. These scans are what froze the
-expected values in the test suite: the corners of the staircase, read
-as (column gaps, row lengths).
+third coordinate), scans it for minimal generators with the
+linear-algebra generator scan (generator_degree_scan), and prints the
+degree pairs where new generators appear next to the rule's. It exits 1
+when they differ. These scans are what froze the expected values in the
+test suite: the corners of the staircase, read as (column gaps, row
+lengths).
 """
 
 import argparse
@@ -37,13 +38,13 @@ def main(argv=None):
     if any(a < b for a, b in zip(partition, partition[1:])):
         parser.error("row sizes must be weakly decreasing")
 
-    print("closed form:", sorted(points_generator_degrees(partition)))
+    print("closed form:   ", sorted(points_generator_degrees(partition)))
 
     X = staircase_points_variety(partition)
     box = (len(partition) + 2, (partition[0] if partition else 0) + 2, 1)
     scan = generator_degree_scan(X, box)
     jumps = sorted((i, j) for (i, j, k), n in scan.items() if n and k == 0)
-    print("rank oracle: ", jumps)
+    print("generator scan:", jumps)
     return 0 if jumps == sorted(points_generator_degrees(partition)) else 1
 
 

@@ -8,7 +8,11 @@ and the numeric multiplicity route on each, and reports any variety
 where the routes disagree, or where acm_decision (route 1 alone, on
 bitmasks) differs from their verdict.  Every route 2 pattern (lengths 4,
 5, 6) is also checked to be a chordless cycle of the complement graph.
-Optionally also compares against the face-ring depth oracle.
+Optionally also compares against the face-ring depth oracle, and, on
+every ACM variety X, compares the two linear-algebra oracles with the
+closed forms of X's Ferrers companion C: the generator scan up to X.d
+against C's minimal degrees (one generator each), and the Hilbert
+oracle against C's Hilbert function on the box max(d_X, d_C) + 1.
 """
 
 import argparse
@@ -23,7 +27,12 @@ from acmlines import (
     all_varieties,
     build_graph,
     complement,
+    degree_sets,
+    ferrers_companion,
+    generator_degree_scan,
     has_hyp_star,
+    hilbert_function,
+    hilbert_oracle,
     is_acm,
     is_induced_cycle,
     reisner_cm,
@@ -32,10 +41,25 @@ from acmlines import (
 )
 
 
+def companion_split(X):
+    """What differs between ACM X's two linear-algebra oracles and the
+    closed forms of its Ferrers companion, or None when nothing does."""
+    C = ferrers_companion(X)
+    if generator_degree_scan(X, X.d) != {m: 1 for m in degree_sets(C).minimal}:
+        return "generator degrees"
+    box = tuple(max(a, b) + 1 for a, b in zip(X.d, C.d))
+    if hilbert_oracle(X, box) != hilbert_function(C, box):
+        return f"Hilbert function on {box}"
+    return None
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--with-oracle", action="store_true",
                         help="also compare against the face-ring depth oracle")
+    parser.add_argument("--with-companion", action="store_true",
+                        help="also compare the generator scan and the Hilbert "
+                             "oracle with the Ferrers companion on ACM varieties")
     parser.add_argument("--box", nargs=3, type=int, default=(2, 2, 2),
                         metavar=("I", "J", "K"),
                         help="hyperplanes per family (default 2 2 2)")
@@ -47,7 +71,7 @@ def main(argv=None):
 
     started = time.monotonic()
     total = acm = disagreements = oracle_splits = 0
-    witnesses = bad_witnesses = decision_splits = 0
+    witnesses = bad_witnesses = decision_splits = companion_splits = 0
     for X in population:
         total += 1
         try:
@@ -76,6 +100,11 @@ def main(argv=None):
                 oracle_splits += 1
                 print("ORACLE DISAGREEMENT:", variety_to_dict(X),
                       "routes say", verdict.acm, "oracle says", cm)
+        if args.with_companion and verdict.acm:
+            split = companion_split(X)
+            if split:
+                companion_splits += 1
+                print("COMPANION DISAGREEMENT:", variety_to_dict(X), split)
 
     elapsed = time.monotonic() - started
     print(f"checked {total} varieties of the {tuple(args.box)} box "
@@ -83,8 +112,10 @@ def main(argv=None):
           f"{acm} ACM, {disagreements} route disagreements, "
           f"{decision_splits} acm_decision splits, "
           f"{witnesses} patterns checked ({bad_witnesses} not chordless cycles)"
-          + (f", {oracle_splits} oracle splits" if args.with_oracle else ""))
-    failed = disagreements or decision_splits or oracle_splits or bad_witnesses
+          + (f", {oracle_splits} oracle splits" if args.with_oracle else "")
+          + (f", {companion_splits} companion splits" if args.with_companion else ""))
+    failed = (disagreements or decision_splits or oracle_splits or bad_witnesses
+              or companion_splits)
     return 1 if failed else 0
 
 

@@ -10,8 +10,13 @@ the slice bit rows (variety.line_masks) permuted by permute_masks to put
 the saturated factors first (f is saturated at deg when d_f <= deg_f +
 1, so the value nodes include every hyperplane of f), and splits along
 the first of them into one two-factor problem per node, each solved
-once per call. The Hilbert oracle is dim R_t - dim I_t on the core box
-min(box, max(d, 1)), continued affinely past it (see hilbert_oracle).
+once per call. A line or point whose fixed nodes are all value nodes
+only zeroes grid values (the evaluation at a value node is a multiple
+of its unit vector), so those cells are dropped before any elimination
+and only the conditions past the value nodes are eliminated, on the
+cells left (_dense_kernel, _kernel2). The Hilbert oracle is dim R_t -
+dim I_t on the core box min(box, max(d, 1)), continued affinely past it
+(see hilbert_oracle).
 
 The generator scan counts minimal ideal generators per multidegree as
 dim I_t minus the dimension spanned by degree-one multiples of lower
@@ -76,8 +81,10 @@ def _boxrange(box):
 def _eval_row(node_count: int, node: int) -> tuple[int, ...]:
     """Evaluation functional at an integer node, in value coordinates
     (nodes 1..node_count), times (node_count - 1)!: the Lagrange
-    coefficients with their denominators cleared. Memoised: scans ask
-    for the same few (node_count, node) pairs thousands of times."""
+    coefficients with their denominators cleared. At a value node
+    (node <= node_count) it is (node_count - 1)! times that node's unit
+    vector. Memoised: scans ask for the same few (node_count, node)
+    pairs thousands of times."""
     return tuple(
         (-1) ** (node_count - x) * comb(node_count - 1, x - 1)
         * prod(node - y for y in range(1, node_count + 1) if y != x)
@@ -85,49 +92,73 @@ def _eval_row(node_count: int, node: int) -> tuple[int, ...]:
     )
 
 
-def _condition_rows(sizes, conditions) -> list[list[int]]:
-    """Integer rows of vanishing conditions on a tensor product of value
-    spaces (factor n has sizes[n] coordinates), flattened row-major.
+def _cell_kernel(sizes, cells, conditions) -> list[dict]:
+    """Kernel basis of vanishing conditions on some cells of a tensor
+    product of value spaces (factor n has sizes[n] coordinates), every
+    other cell held at zero, as sparse {cell: value} dicts. cells are
+    1-based and in row-major order.
 
     A condition gives one integer node per factor, or None for a factor
     it leaves free: it asks a polynomial to vanish on the coordinate
     line (or at the point) those nodes cut out. Its rows are Kronecker
-    products of the nodes' evaluation functionals, with each unit vector
-    of the free factor in turn.
+    products of the nodes' evaluation functionals with each unit vector
+    of the free factors in turn, built here on the given cells only.
     """
+    if not cells:
+        return []
     rows = []
     for nodes in conditions:
-        factors = [
-            [_eval_row(size, node)] if node is not None
-            else [[int(s == t) for s in range(size)] for t in range(size)]
+        evals = [
+            None if node is None else _eval_row(size, node)
             for size, node in zip(sizes, nodes)
         ]
-        for vectors in product(*factors):
-            rows.append([prod(v) for v in product(*vectors)])
-    return rows
-
-
-def _dense_kernel(sizes, conditions) -> list[dict]:
-    """Kernel basis of _condition_rows as sparse {cell: value} dicts over
-    the 1-based value-grid cells."""
-    cells = list(product(*(range(1, size + 1) for size in sizes)))
+        by_free: dict[tuple, list[int]] = {}
+        for n, cell in enumerate(cells):
+            v = prod(e[x - 1] for e, x in zip(evals, cell) if e is not None)
+            if v:
+                free = tuple(x for e, x in zip(evals, cell) if e is None)
+                by_free.setdefault(free, [0] * len(cells))[n] = v
+        rows.extend(by_free.values())
+    if not rows:
+        return [{cell: 1} for cell in cells]
     return [
         {cells[n]: v for n, v in enumerate(vec) if v}
-        for vec in nullspace(_condition_rows(sizes, conditions), len(cells))
+        for vec in nullspace(rows, len(cells))
     ]
 
 
-def _conditions2(row, col, points):
-    """The _kernel2 row, column and points as _condition_rows conditions."""
-    return (
-        [(r + 1, None) for r in _bits(row)]
-        + [(None, c + 1) for c in _bits(col)]
-        + [(b, c + 1) for b, mask in enumerate(points, start=1) for c in _bits(mask)]
-    )
+def _dense_kernel(sizes, conditions) -> list[dict]:
+    """Kernel basis of vanishing conditions (see _cell_kernel) on the
+    whole value grid, as sparse {cell: value} dicts over its 1-based
+    cells.
+
+    A value-node condition, one whose every fixed node n has n <= size,
+    only zeroes cells: its rows are multiples of the unit vectors of the
+    cells it cuts out (see _eval_row). Those cells are dropped before any
+    elimination, and the other conditions are eliminated on the cells
+    left. The basis is still the one nullspace gives on the whole grid.
+    The dropped cells' unit vectors lie in the row space, so its pivot
+    columns are the dropped cells plus the pivots of the reduced rows,
+    which leaves the same free columns, and the kernel vector of a free
+    column (primitive, positive there and zero at the other free
+    columns) is unique.
+    """
+    killed = set()
+    rest = []
+    for nodes in conditions:
+        if all(node is None or node <= size for size, node in zip(sizes, nodes)):
+            killed.update(product(*(
+                range(1, size + 1) if node is None else (node,)
+                for size, node in zip(sizes, nodes)
+            )))
+        else:
+            rest.append(nodes)
+    grid = product(*(range(1, size + 1) for size in sizes))
+    return _cell_kernel(sizes, [c for c in grid if c not in killed], rest)
 
 
 def _line_conditions(X: VarietyOfLines):
-    """One condition per line of X, for _condition_rows."""
+    """One condition per line of X, for _dense_kernel."""
     return (
         [(a, b, None) for a, b in sorted(X.U3)]
         + [(a, None, c) for a, c in sorted(X.U2)]
@@ -135,11 +166,21 @@ def _line_conditions(X: VarietyOfLines):
     )
 
 
+def _kept(mask: int, size: int) -> list[int]:
+    """The value nodes 1..size whose bit (node - 1) is clear in mask."""
+    return [n for n in range(1, size + 1) if not mask >> (n - 1) & 1]
+
+
+def _past(mask: int, size: int) -> list[int]:
+    """The nodes past size whose bit (node - 1) is set in mask."""
+    return [c + 1 for c in _bits(mask >> size << size)]
+
+
 def _fibres(j, row, col, points) -> dict[int, int]:
-    """For a saturated first side (at most j+1 indices): each node y in
-    1..j+1 outside row, with the bit mask of the second-side nodes where
-    its fibre must vanish (col, and the points with first coordinate y)."""
-    padded = points + (0,) * (j + 1 - len(points))
+    """Each first-side value node y in 1..j+1 outside row, with the bit
+    mask of the second-side nodes where its fibre must vanish (col, and
+    the points with first coordinate y)."""
+    padded = points[:j + 1] + (0,) * (j + 1 - len(points))
     return {
         y: col | mask
         for y, mask in enumerate(padded, start=1)
@@ -151,13 +192,22 @@ def _kernel2(deg_pair, row, col, points, memo) -> list[dict]:
     """Basis of the joint kernel, inside P (x) Q, of the row conditions
     v_r (x) Q, the column conditions P (x) w_c and the single tensors
     v_b (x) w_c, as sparse {(y, z): value} dicts over value-grid cells
-    (1-based).
+    (1-based): _dense_kernel's basis of those conditions.
 
     P has deg_pair[0]+1 value coordinates and indices up to
     len(points); Q has deg_pair[1]+1. row has bit r - 1 set for each
     row r and col bit c - 1 for each column c; points[b - 1] has bit
     c - 1 set for each point (b, c). The front view puts the saturated
     factors first, so when P is not saturated neither is Q.
+
+    The value-node conditions (the low j+1 bits of row, the low k+1
+    bits of col and the points inside both) only zero cells, as in
+    _dense_kernel, so each fibre y of _fibres keeps the nodes z that its
+    mask s leaves (_kept). When P is saturated every row and point sits
+    at a value node of P, so the problem is one fibre problem per y, the
+    nodes of s past k+1 on the nodes kept; their direct sum gives the
+    same basis, in the same order. Otherwise the conditions past the
+    value nodes are eliminated on the cells kept, as one dense block.
 
     Kept in the call's memo under (deg_pair, row, col, points), and so
     is each fibre kernel under ("fibre", k, s).
@@ -166,25 +216,32 @@ def _kernel2(deg_pair, row, col, points, memo) -> list[dict]:
     if key in memo:
         return memo[key]
     j, k = deg_pair
+    fibres = _fibres(j, row, col, points)
     if len(points) <= j + 1:
         out = []
-        for y, s in _fibres(j, row, col, points).items():
-            if not s >> (k + 1):  # every vanishing node is a value node
-                out.extend(
-                    {(y, z): 1} for z in range(1, k + 2) if not s >> (z - 1) & 1
-                )
-                continue
+        for y, s in fibres.items():
             fibre = memo.get(("fibre", k, s))
             if fibre is None:
-                mat = [_eval_row(k + 1, c + 1) for c in _bits(s)]
-                fibre = memo[("fibre", k, s)] = nullspace(mat, k + 1)
-            out.extend(
-                {(y, z): v for z, v in enumerate(vec, start=1) if v}
-                for vec in fibre
-            )
+                fibre = memo[("fibre", k, s)] = _cell_kernel(
+                    (k + 1,),
+                    [(z,) for z in _kept(s, k + 1)],
+                    [(c,) for c in _past(s, k + 1)],
+                )
+            out.extend({(y, z): v for (z,), v in g.items()} for g in fibre)
     else:
-        # neither side saturated: small dense block
-        out = _dense_kernel((j + 1, k + 1), _conditions2(row, col, points))
+        # most blocks have no cell left, and then no condition is built
+        cells = [(y, z) for y, s in fibres.items() for z in _kept(s, k + 1)]
+        out = [] if not cells else _cell_kernel(
+            (j + 1, k + 1),
+            cells,
+            [(r, None) for r in _past(row, j + 1)]
+            + [(None, c) for c in _past(col, k + 1)]
+            + [
+                (b, c)
+                for b, mask in enumerate(points, start=1)
+                for c in _past(mask, k + 1 if b <= j + 1 else 0)
+            ],
+        )
     memo[key] = out
     return out
 

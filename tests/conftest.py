@@ -7,12 +7,14 @@ generator scan over the whole box, the Hilbert tables and compaction
 as they were computed cell by cell and family by family, the Ferrers
 checks on row sets of permuted varieties, the Hilbert
 oracle as literal evaluation-matrix ranks and as node-by-node ranks
-over the whole box, Reisner's face-ring test
+over the whole box, the oracles' kernels as the elimination of every
+condition's full rows over the whole value grid, Reisner's face-ring test
 link by link, the complete-intersection rectangle rule and grid
 Hilbert formula that generator data replaced, and a Ferrers variety's
 generator degrees as the minimal elements of a product of corners."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -36,13 +38,12 @@ from acmlines import (
     stanley_reisner_complex,
 )
 from acmlines.criteria import _PATTERN_FAMILY_SEQS, _pattern_witness
-from acmlines.graphs import canonical_cycle
+from acmlines.graphs import _bits, canonical_cycle
 from acmlines.ferrers import FerrersCheck
-from acmlines.linalg import bareiss_rank, sparse_rank
+from acmlines.linalg import bareiss_rank, nullspace, sparse_rank
 from acmlines.oracles import (
     _boxrange,
-    _condition_rows,
-    _conditions2,
+    _eval_row,
     _fibres,
     _front_view,
     _grown_rows,
@@ -487,6 +488,49 @@ def hilbert_oracle_naive(X, box):
     return box_table(box, lambda deg: bareiss_rank(evaluation_matrix(X, deg)))
 
 
+def condition_rows(sizes, conditions) -> list[list[int]]:
+    """Integer rows of vanishing conditions on a tensor product of value
+    spaces (factor n has sizes[n] coordinates), flattened row-major.
+
+    A condition gives one integer node per factor, or None for a factor
+    it leaves free: it asks a polynomial to vanish on the coordinate
+    line (or at the point) those nodes cut out. Its rows are Kronecker
+    products of the nodes' evaluation functionals, with each unit vector
+    of the free factor in turn.
+    """
+    rows = []
+    for nodes in conditions:
+        factors = [
+            [_eval_row(size, node)] if node is not None
+            else [[int(s == t) for s in range(size)] for t in range(size)]
+            for size, node in zip(sizes, nodes)
+        ]
+        for vectors in itertools.product(*factors):
+            rows.append([math.prod(v) for v in itertools.product(*vectors)])
+    return rows
+
+
+def dense_kernel_by_rows(sizes, conditions) -> list[dict]:
+    """_dense_kernel as it was before it dropped the value-node
+    conditions: nullspace of every condition's full Kronecker rows over
+    the whole grid, as sparse {cell: value} dicts over the 1-based
+    cells."""
+    cells = list(itertools.product(*(range(1, size + 1) for size in sizes)))
+    return [
+        {cells[n]: v for n, v in enumerate(vec) if v}
+        for vec in nullspace(condition_rows(sizes, conditions), len(cells))
+    ]
+
+
+def conditions2(row, col, points):
+    """_kernel2's row, column and points masks as conditions."""
+    return (
+        [(r + 1, None) for r in _bits(row)]
+        + [(None, c + 1) for c in _bits(col)]
+        + [(b, c + 1) for b, mask in enumerate(points, start=1) for c in _bits(mask)]
+    )
+
+
 def _rank2(deg_pair, row, col, points, memo) -> int:
     """dim of sum of row spaces v_r (x) Q, column spaces P (x) w_c and
     single tensors v_b (x) w_c inside P (x) Q.
@@ -509,7 +553,7 @@ def _rank2(deg_pair, row, col, points, memo) -> int:
     else:
         # neither side saturated: small dense block
         total = bareiss_rank(
-            _condition_rows((j + 1, k + 1), _conditions2(row, col, points))
+            condition_rows((j + 1, k + 1), conditions2(row, col, points))
         )
     memo[key] = total
     return total
@@ -522,7 +566,7 @@ def _rank3_by_nodes(deg, X, memo):
     view = _front_view(deg, X, memo)
     if view is None:
         sizes = tuple(t + 1 for t in deg)
-        return bareiss_rank(_condition_rows(sizes, _line_conditions(X)))
+        return bareiss_rank(condition_rows(sizes, _line_conditions(X)))
     _, pick, rows, cols, points = view
     i, j, k = pick(deg)
     total = sum(_rank2((j, k), r, c, points, memo) for r, c in zip(rows, cols))

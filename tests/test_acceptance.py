@@ -226,7 +226,7 @@ def test_criterion_06_hilbert_agreement_on_staircases():
     elapsed = time.monotonic() - started
     assert elapsed < 600.0
     print(
-        "PASS criterion 6: staircase formula equals rank oracle on 50 "
+        "PASS criterion 6: staircase formula equals Hilbert oracle on 50 "
         f"random staircase varieties and 2 grids ({elapsed:.1f}s)"
     )
 

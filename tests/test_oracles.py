@@ -32,7 +32,7 @@ from acmlines import (
     run_hf_experiment,
     stanley_reisner_complex,
 )
-from acmlines import experiment
+from acmlines import experiment, oracles
 from acmlines.linalg import bareiss_rank, extension_coeffs, sparse_rank
 from acmlines.oracles import (
     _boxrange,
@@ -49,6 +49,8 @@ from conftest import (
     REPAIRED_TRIPLE_POINTS,
     SINGLE_LINE,
     TWO_TRIPLE_POINTS,
+    conditions2,
+    dense_kernel_by_rows,
     evaluation_matrix,
     hilbert_oracle_naive,
     line_sample_points,
@@ -292,6 +294,40 @@ def test_companion_gives_the_scan_and_the_oracle_on_every_small_acm_variety(
         assert hilbert_oracle(X, box) == hilbert_function(C, box), X
 
 
+def test_every_kernel_equals_the_row_reference(oracle_population, monkeypatch):
+    # Every basis that _dense_kernel and _kernel2 give while the
+    # population is scanned and tabulated is the one the elimination of
+    # every condition's full rows over the whole grid gives: the same
+    # dicts in the same order.
+    dense_kernel, kernel2 = oracles._dense_kernel, oracles._kernel2
+    calls = {"dense": 0, "fibres": 0, "block": 0, "eliminated": 0}
+
+    def checked_dense_kernel(sizes, conditions):
+        out = dense_kernel(sizes, conditions)
+        assert out == dense_kernel_by_rows(sizes, conditions), (sizes, conditions)
+        calls["dense"] += 1
+        calls["eliminated"] += any(len(g) > 1 for g in out)
+        return out
+
+    def checked_kernel2(deg_pair, row, col, points, memo):
+        out = kernel2(deg_pair, row, col, points, memo)
+        sizes = tuple(n + 1 for n in deg_pair)
+        assert out == dense_kernel_by_rows(sizes, conditions2(row, col, points)), (
+            deg_pair, row, col, points,
+        )
+        calls["fibres" if len(points) <= sizes[0] else "block"] += 1
+        calls["eliminated"] += any(len(g) > 1 for g in out)
+        return out
+
+    monkeypatch.setattr(oracles, "_dense_kernel", checked_dense_kernel)
+    monkeypatch.setattr(oracles, "_kernel2", checked_kernel2)
+    for X, _, _ in oracle_population:
+        generator_degree_scan(X, X.d)
+        hilbert_oracle(X, tuple(n + 1 for n in X.d))
+    # every path is taken, elimination included
+    assert all(calls.values()), calls
+
+
 def test_face_complex_shape():
     cx = stanley_reisner_complex(DIAGONAL_PAIR_PLUS_ONE)
     assert len(cx.vertices) == 6
@@ -449,3 +485,44 @@ def test_seeded_experiment_reports_are_unchanged():
         report = run_hf_experiment(trials=1, dmax=6, p=0.4, box=(4, 4, 4), seed=seed)
         digest.update(json.dumps(report.to_dict(), sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == EXPERIMENT_REPORTS_SHA256
+
+
+def _oracle_outputs():
+    """The generator scans (key order kept) and Hilbert tables of a
+    fixed seeded population, one JSON line each: 60 nine-line dmax-3
+    staircases at (6, 6, 6), the scan workload's shape, then 300 draws
+    of random_variety(Random(11), 6, 0.4) that acm_decision accepts,
+    the experiment's, scanned up to d and tabulated at (4, 4, 4)."""
+    rng = random.Random(20)
+    staircases = 0
+    while staircases < 60:
+        X = random_ferrers_variety(rng, 3)
+        if X.line_count == 9:
+            staircases += 1
+            scan = generator_degree_scan(X, (6, 6, 6))
+            yield [list(scan.items()), hilbert_oracle(X, (6, 6, 6))]
+    rng = random.Random(11)
+    accepted = 0
+    while accepted < 300:
+        X = random_variety(rng, 6, 0.4)
+        if acm_decision(X):
+            accepted += 1
+            scan = generator_degree_scan(X, X.d)
+            yield [list(scan.items()), hilbert_oracle(X, (4, 4, 4))]
+
+
+# sha256 of the lines of _oracle_outputs(), each as JSON plus a newline,
+# computed before either oracle dropped its value-node conditions ahead
+# of the elimination. A change to either oracle's output changes it.
+ORACLE_OUTPUTS_SHA256 = (
+    "0da774e03e9b26a3ba4d9aa7c02d4a9011e1c5c507d228c72a5152d7a4016570"
+)
+
+
+def test_seeded_oracle_outputs_are_unchanged():
+    started = time.monotonic()
+    digest = hashlib.sha256()
+    for line in _oracle_outputs():
+        digest.update(json.dumps(line).encode() + b"\n")
+    assert digest.hexdigest() == ORACLE_OUTPUTS_SHA256
+    assert time.monotonic() - started < 2.0

@@ -39,7 +39,7 @@ from acmlines import (
     variety_from_json,
     variety_to_json,
 )
-from acmlines.oracles import _boxrange, _kernel3
+from acmlines.oracles import _boxrange, _dense_kernel, _kernel2, _kernel3
 from acmlines.variety import line_masks, permute_masks
 from acmlines.sampling import random_variety
 from acmlines.criteria import _NUMERIC_CRITERIA
@@ -53,7 +53,9 @@ from conftest import (
     compact_by_renumbering,
     complement_by_pairs,
     complete_intersection_by_rectangles,
+    conditions2,
     delta_hilbert_by_leq,
+    dense_kernel_by_rows,
     first_pattern_by_product,
     graph_by_edge_sets,
     hilbert_oracle_by_nodes,
@@ -474,6 +476,57 @@ def test_kernels_sit_on_one_node_of_each_saturated_axis(X, box):
             for g in _kernel3(s, Y, memo):
                 for a in saturated:
                     assert len({cell[a] for cell in g}) == 1, (Y, s, a)
+
+
+@st.composite
+def kernel_problems(draw):
+    """Value-grid sizes (one to three factors) and vanishing conditions
+    on them: per factor a node, at a value node or up to three past
+    them, or None for a free factor."""
+    sizes = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    node = [st.none() | st.integers(1, size + 3) for size in sizes]
+    conditions = draw(st.lists(st.tuples(*node), max_size=6))
+    return sizes, conditions
+
+
+@given(kernel_problems())
+@example(((2, 3), [(None, None)]))  # one condition zeroes the whole grid
+@example(((2, 2), [(1, None), (2, None)]))  # rows at value nodes cover it
+@example(((3,), [(1,), (3,), (5,)]))  # no free factor, one node past
+@example(((2, 2, 2), [(4, None, 1), (1, 2, None), (None, 5, 6)]))
+@example(((1, 3), [(1, 2), (2, 4), (None, 1), (3, None)]))
+@settings(max_examples=150, deadline=None)
+def test_dense_kernel_equals_the_row_reference(problem):
+    # dropping the value-node conditions first keeps the very basis of
+    # the whole-grid elimination: same dicts, same order
+    sizes, conditions = problem
+    assert _dense_kernel(sizes, conditions) == dense_kernel_by_rows(sizes, conditions)
+
+
+@st.composite
+def kernel2_problems(draw):
+    """_kernel2 arguments as _front_view makes them: the first side
+    has d_p indices (its rows and points), the second d_q."""
+    j, k = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    d_p, d_q = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    mask = st.integers(0, (1 << d_q) - 1)
+    row = draw(st.integers(0, (1 << d_p) - 1))
+    points = tuple(draw(st.lists(mask, min_size=d_p, max_size=d_p)))
+    return (j, k), row, draw(mask), points
+
+
+@given(kernel2_problems())
+@example(((1, 1), 0b001, 0b00, (0b01, 0b10, 0b100)))  # P not saturated
+@example(((2, 0), 0b0, 0b10, (0b1, 0b0)))  # a fibre with a node past k+1
+@example(((0, 2), 0b1, 0b111, (0b0, 0b1)))  # every cell zeroed
+@settings(max_examples=150, deadline=None)
+def test_kernel2_equals_the_row_reference(problem):
+    # both branches (the fibres of a saturated first side, and the
+    # dense block) give the whole-grid basis of the same conditions
+    (j, k), row, col, points = problem
+    assert _kernel2((j, k), row, col, points, {}) == dense_kernel_by_rows(
+        (j + 1, k + 1), conditions2(row, col, points)
+    )
 
 
 @given(staircase_varieties())
