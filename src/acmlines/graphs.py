@@ -161,13 +161,17 @@ def _mcs_failure(adj):
         visited |= low
         rising = adj[v] & ~visited
         if rising:
-            # descending, so no vertex moves twice
+            # descending, so no vertex moves twice; stop once every
+            # rising vertex has moved, so empty levels are not walked
             levels.append(0)
             for k in range(top, -1, -1):
                 moving = levels[k] & rising
                 if moving:
                     levels[k] ^= moving
                     levels[k + 1] |= moving
+                    rising ^= moving
+                    if not rising:
+                        break
             top += 1
     return None
 

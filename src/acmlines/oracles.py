@@ -1,35 +1,41 @@
 """Independent oracles: Hilbert function, generator scan, face-ring test.
 
-Both linear-algebra oracles solve, per multidegree t, for a basis of
-the ideal's piece I_t: the polynomials that vanish at sample points on
-the lines (one factor's coordinate swept through deg+1 integer parameter
-values per line; hyperplane parameters are the integers 1, 2, 3, ...),
-in interpolation (value) coordinates and integer arithmetic. The tests
-keep the literal evaluation matrix as the reference. _kernel3 works on
-the slice bit rows (variety.line_masks) permuted by permute_masks to put
-the saturated factors first (f is saturated at deg when d_f <= deg_f +
-1, so the value nodes include every hyperplane of f), and splits along
-the first of them into one two-factor problem per node, each solved
-once per call. A line or point whose fixed nodes are all value nodes
-only zeroes grid values (the evaluation at a value node is a multiple
-of its unit vector), so those cells are dropped before any elimination
-and only the conditions past the value nodes are eliminated, on the
-cells left (_dense_kernel, _kernel2). The Hilbert oracle is dim R_t -
-dim I_t on the core box min(box, max(d, 1)), continued affinely past it
-(see hilbert_oracle).
+Both linear-algebra oracles work, per multidegree t, on the ideal's
+piece I_t: the polynomials that vanish at sample points on the lines
+(one factor's coordinate swept through deg+1 integer parameter values
+per line; hyperplane parameters are the integers 1, 2, 3, ...), in
+interpolation (value) coordinates and integer arithmetic. The tests keep
+the literal evaluation matrix as the reference. Both read the slice bit
+rows (variety.line_masks) permuted by permute_masks (_view) to put a
+saturated factor first (f is saturated at deg when d_f <= deg_f + 1, so
+the value nodes include every hyperplane of f), and split I_t along it
+into node slices, one two-factor problem per node. A line or point whose
+fixed nodes are all value nodes only zeroes grid values (the evaluation
+at a value node is a multiple of its unit vector), so those cells are
+dropped before any elimination and only the conditions past the value
+nodes are eliminated, on the cells left (_dense_kernel, _kernel2).
+
+Each oracle takes only the slice data it needs. The Hilbert oracle is
+dim R_t - dim I_t on the core box min(box, max(d, 1)), continued
+affinely past it (see hilbert_oracle); it counts dim I_t slice by slice
+(_dim3), and on a saturated fibre the count is a formula, so it builds
+no kernel vector there.
 
 The generator scan counts minimal ideal generators per multidegree as
 dim I_t minus the dimension spanned by degree-one multiples of lower
-pieces, all in interpolation (value) coordinates. That span lies inside
-I_t, so its elimination stops once the rank reaches dim I_t. Along an
-axis that is saturated one step below, every kernel vector sits on one
-node x, and its two multiples span the same space as the vector and its
-copy at the new node (the 2x2 determinant is c_x (t_a + 1 - x), with
-c_x the nonzero extension coefficient), so those copies are the rows.
-The scan walks only the box clipped to the declared hyperplane counts
-d. At a degree t with some t_a > d_a, nodes t_a and t_a + 1 of axis a
-both lie past every hyperplane of family a, the copied rows already
-span I_t, and so no minimal generator lies past d (the proof is in
+pieces. That span lies inside I_t, so its elimination stops once the
+rank reaches dim I_t. Along an axis that is saturated one step below,
+every kernel vector sits on one node x, and its two multiples span the
+same space as the vector and its copy at the new node (the 2x2
+determinant is c_x (t_a + 1 - x), with c_x the nonzero extension
+coefficient), so those copies are the rows. The scan walks only the box
+clipped to the declared hyperplane counts d. At a degree t with some
+t_a > d_a, nodes t_a and t_a + 1 of axis a both lie past every
+hyperplane of family a, the copied rows already span I_t, and so no
+minimal generator lies past d. On a face of that box, t_a = d_a >= 1,
+every node slice but the one past d_a is already spanned by the copied
+rows, so the scan solves that one slice as a two-factor problem; it
+builds three-factor kernels only in the interior (the proofs are in
 generator_degree_scan). So the work of both oracles is bounded by d,
 not by the box.
 
@@ -246,33 +252,41 @@ def _kernel2(deg_pair, row, col, points, memo) -> list[dict]:
     return out
 
 
+def _view(order, X: VarietyOfLines, memo):
+    """X's slice bit rows with the families in the given order, built
+    once, in memo under the order (a memo serves one variety): its pick
+    (family_permutation), and the direction-3, direction-2 and
+    direction-1 bit rows of permute_masks(line_masks(X), order). The
+    first two give the rows and the columns of each node of the front
+    factor (d_f of them; the nodes past d_f have none), the third the
+    points, one bit row per second-family index."""
+    key = ("view", order)
+    view = memo.get(key)
+    if view is None:
+        masks = permute_masks(line_masks(X), order)
+        pick = family_permutation(order)[0]
+        view = memo[key] = pick, masks[3][0], masks[2][0], masks[1][0]
+    return view
+
+
+def _saturated_first(families, deg, d) -> tuple:
+    """The families (1-based) with the saturated ones at deg first (d_f <=
+    deg_f + 1), each group in the given order."""
+    return tuple(sorted(families, key=lambda f: d[f - 1] > deg[f - 1] + 1))
+
+
 def _front_view(deg, X: VarietyOfLines, memo):
     """The problem at deg split along a saturated factor f (d_f <=
     deg_f + 1: the deg_f + 1 value nodes include every hyperplane of f),
     as one two-factor problem per node x of f.
 
-    Returns None when no factor is saturated, else X's slice bit rows
-    with the saturated factors first (each group in ascending order),
-    built once, in memo under the saturation pattern (a memo serves one
-    variety): the order, its pick (family_permutation), and the
-    direction-3, direction-2 and direction-1 bit rows of
-    permute_masks(line_masks(X), order). The first two give the rows and
-    the columns of each front node (d_f of them; the nodes past d_f have
-    none), the third the points, one bit row per second-family index."""
-    i, j, k = deg
-    d1, d2, d3 = X.d
-    saturated = (d1 <= i + 1, d2 <= j + 1, d3 <= k + 1)
-    if not any(saturated):
+    Returns None when no factor is saturated, else the order with the
+    saturated factors first (each group in ascending order) and _view of
+    that order."""
+    order = _saturated_first((1, 2, 3), deg, X.d)
+    if X.d[order[0] - 1] > deg[order[0] - 1] + 1:
         return None
-    key = ("front", saturated)
-    view = memo.get(key)
-    if view is None:
-        order = tuple(sorted((1, 2, 3), key=lambda f: not saturated[f - 1]))
-        masks = permute_masks(line_masks(X), order)
-        pick = family_permutation(order)[0]
-        view = order, pick, masks[3][0], masks[2][0], masks[1][0]
-        memo[key] = view
-    return view
+    return (order, *_view(order, X, memo))
 
 
 def _kernel3(deg, X: VarietyOfLines, memo):
@@ -291,12 +305,52 @@ def _kernel3(deg, X: VarietyOfLines, memo):
     ]
 
 
+def _node_dim(deg_pair, row, col, points, memo) -> int:
+    """len(_kernel2(deg_pair, row, col, points, memo)), with no vector
+    built when P is saturated: each fibre y of _fibres, with mask s,
+    holds the polynomials of degree <= k that vanish at the s.bit_count()
+    distinct nodes of s (its killed value nodes and its nodes past k+1),
+    a space of dimension max(0, k + 1 - s.bit_count()). A dense block is
+    solved by _kernel2. Kept in the call's memo."""
+    key = ("dim", deg_pair, row, col, points)
+    dim = memo.get(key)
+    if dim is None:
+        j, k = deg_pair
+        if len(points) <= j + 1:
+            dim = sum(
+                max(0, k + 1 - s.bit_count())
+                for s in _fibres(j, row, col, points).values()
+            )
+        else:
+            dim = len(_kernel2(deg_pair, row, col, points, memo))
+        memo[key] = dim
+    return dim
+
+
+def _dim3(deg, X: VarietyOfLines, memo) -> int:
+    """dim I_deg, len(_kernel3(deg, X, memo)), as a sum of _node_dim over
+    the front view's nodes. The nodes past d_f all pose one problem (the
+    points alone), counted once."""
+    view = _front_view(deg, X, memo)
+    if view is None:
+        return len(_dense_kernel(tuple(t + 1 for t in deg), _line_conditions(X)))
+    _, pick, rows, cols, points = view
+    i, j, k = pick(deg)
+    dim = sum(_node_dim((j, k), r, c, points, memo) for r, c in zip(rows, cols))
+    if i + 1 > len(rows):
+        dim += (i + 1 - len(rows)) * _node_dim((j, k), 0, 0, points, memo)
+    return dim
+
+
 def hilbert_oracle(X: VarietyOfLines, box) -> list:
     """Hilbert function table over the box (inclusive bounds).
 
     The table does not depend on labels, so X is compacted first and
     unused hyperplanes cost nothing past that one pass. H(t) = dim R_t -
     dim I_t is solved on the core box min(box_a, max(d_a, 1)) only.
+    dim I_t is counted, not built: _dim3 sums one count per node slice
+    of the front view, and a slice whose first factor is saturated is
+    counted fibre by fibre (_node_dim), with no kernel vector built.
 
     Along any axis a, H is affine in t_a once t_a >= d_a - 1. Then
     factor a is saturated, and I_t is the direct sum of node slices
@@ -316,7 +370,7 @@ def hilbert_oracle(X: VarietyOfLines, box) -> list:
     memo: dict = {}
     table = box_table(
         tuple(min(b, max(n, 1)) for b, n in zip(box, X.d)),
-        lambda t: prod(n + 1 for n in t) - len(_kernel3(t, X, memo)),
+        lambda t: prod(n + 1 for n in t) - _dim3(t, X, memo),
     )
     for plane in table:
         for row in plane:
@@ -363,17 +417,20 @@ def _multiplied_rows(g: dict, axis: int, coeffs: list[int]):
 def _grown_rows(t, kernels, d) -> list[dict]:
     """Rows spanning the degree-one multiples at t of the kernel bases
     one step below (kernels[t - e_a] for each axis a with t_a > 0), two
-    rows per kernel vector and axis.
+    rows per kernel vector and axis, in any number of factors.
 
-    An axis a with d_a <= t_a is saturated at t - e_a, where every
-    _kernel3 vector g sits on a single node x of a. Its two multiples are
-    g + c_x g' and x g + (t_a + 1) c_x g', with g' the copy of g at the
-    new node t_a + 1 and c_x = extension_coeffs(t_a)[x - 1] != 0; their
+    An axis a with d_a <= t_a is saturated at t - e_a, where every kernel
+    vector g sits on a single node x of a. Its two multiples are g + c_x
+    g' and x g + (t_a + 1) c_x g', with g' the copy of g at the new node
+    t_a + 1 and c_x = extension_coeffs(t_a)[x - 1] != 0; their
     determinant c_x (t_a + 1 - x) is nonzero, so the pair spans exactly
     {g, g'}, and those two are the rows. Other axes use _multiplied_rows.
+    The scan's three-factor degrees all have t_a < d_a or t_a = 0, so
+    there the copy rule fires only inside the two-factor face problems
+    of _face_rows.
     """
     rows: list[dict] = []
-    for axis in range(3):
+    for axis in range(len(t)):
         if t[axis] == 0:
             continue
         below = kernels[t[:axis] + (t[axis] - 1,) + t[axis + 1:]]
@@ -391,6 +448,39 @@ def _grown_rows(t, kernels, d) -> list[dict]:
     return rows
 
 
+def _face_rows(a, t, X: VarietyOfLines, memo, faces):
+    """dim K_inf(t') and rows spanning the grown rows that land in it, at
+    a degree t with 1 <= d_a = t_a (see generator_degree_scan).
+
+    K_inf(t') is the points-only problem of the nodes past d_a, in the
+    other two degrees t', with the pair ordered saturated first so that
+    _kernel2 takes its fibre branch. Its basis is kept in faces[t], with
+    the pair order, for the degrees t + e_b; a basis solved in the other
+    order is transposed, not solved again.
+    """
+    order = (a + 1,) + _saturated_first(
+        tuple(f for f in (1, 2, 3) if f != a + 1), t, X.d
+    )
+    pick, rows, cols, points = _view(order, X, memo)
+    _, j, k = pick(t)
+    pair = order[1:]
+    inf = _kernel2((j, k), 0, 0, points, memo)
+    faces[t] = pair, inf
+    if not inf:
+        return 0, []
+    grown = [g for r, c in zip(rows, cols) for g in _kernel2((j, k), r, c, points, memo)]
+    below = {}
+    for n, f in enumerate(pair):
+        if t[f - 1]:
+            s = t[:f - 1] + (t[f - 1] - 1,) + t[f:]
+            pair_s, basis = faces[s]
+            if pair_s != pair:
+                basis = [{(z, y): v for (y, z), v in g.items()} for g in basis]
+            below[(j - 1, k) if n == 0 else (j, k - 1)] = basis
+    grown += _grown_rows((j, k), below, pick(X.d)[1:])
+    return len(inf), grown
+
+
 def generator_degree_scan(X: VarietyOfLines, box) -> dict:
     """Multidegrees (and counts) of minimal ideal generators in the box.
 
@@ -398,9 +488,8 @@ def generator_degree_scan(X: VarietyOfLines, box) -> dict:
     degree-one multiples of the kernels one step below (_grown_rows);
     positive differences are minimal generators. That span lies inside
     I_t, so the elimination stops as soon as its rank reaches dim I_t:
-    past that point no row can change the count. Along an axis a with
-    d_a <= t_a, the copy rule of _grown_rows gives the rows. The counts
-    do not depend on labels, so X is compacted first.
+    past that point no row can change the count. The counts do not
+    depend on labels, so X is compacted first.
 
     Only the box clipped to X.d is scanned, because no minimal generator
     has t_a > d_a. Say t_a > d_a. Then axis a is saturated at t - e_a
@@ -415,6 +504,22 @@ def generator_degree_scan(X: VarietyOfLines, box) -> dict:
     since t + e_b is past d whenever t is. The dict is the one the full
     box gives, key order included: it only holds nonzero counts. So the
     scan warns exactly when the box, not d, sets the clip on some axis.
+
+    Three-factor kernels (_kernel3) are built only in the interior,
+    where no axis has 1 <= d_a = t_a; the degrees one step below an
+    interior degree are interior too. On a face, where 1 <= d_a = t_a
+    (the first such a), axis a is saturated at t and at every t - e_f,
+    so each of these pieces is the direct sum of its node slices along
+    a, and every grown row lies in one slice: the copy rule along a
+    gives g on node x and its copy g' on node d_a + 1, and the multiples
+    along b != a keep the a-node. For x <= d_a the rows g are the whole
+    slice K_x(t'), the two-factor problem at the other degrees t', so no
+    generator sits there. The slice at node d_a + 1 is K_inf(t'), the
+    points-only problem of the nodes past d_a. The rows in it are the
+    copies g' (every K_x(t') for x <= d_a) and the two-factor grown rows
+    of K_inf(t' - e_b) for the other two axes b, which are the face
+    bases at t - e_b. So the count at t is dim K_inf(t') minus the rank
+    of those rows (_face_rows).
     """
     box = check_box(box)
     X = compact(X)
@@ -425,16 +530,21 @@ def generator_degree_scan(X: VarietyOfLines, box) -> dict:
         )
     memo: dict = {}
     kernels: dict[tuple, list[dict]] = {}
+    faces: dict[tuple, tuple] = {}
     found: dict[tuple, int] = {}
-    for t in _boxrange(tuple(map(min, box, X.d))):
-        kernels[t] = _kernel3(t, X, memo)
-        dim_ideal = len(kernels[t])
-        if dim_ideal == 0:
-            continue
-        grown = sparse_rank(_grown_rows(t, kernels, X.d), dim_ideal)
-        count = dim_ideal - grown
-        if count:
-            found[t] = count
+    d = X.d
+    for t in _boxrange(tuple(map(min, box, d))):
+        a = next((f for f in range(3) if 0 < t[f] == d[f]), None)
+        if a is None:
+            kernels[t] = _kernel3(t, X, memo)
+            dim = len(kernels[t])
+            rows = _grown_rows(t, kernels, d) if dim else []
+        else:
+            dim, rows = _face_rows(a, t, X, memo, faces)
+        if dim:
+            count = dim - sparse_rank(rows, dim)
+            if count:
+                found[t] = count
     return found
 
 

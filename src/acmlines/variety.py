@@ -21,6 +21,7 @@ from functools import lru_cache
 from itertools import chain, filterfalse, islice
 from math import prod
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
@@ -127,10 +128,20 @@ def _all_used(used, d) -> bool:
     return all(len(indices) == n for indices, n in zip(used, d))
 
 
-def line_masks(X: VarietyOfLines) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+def line_masks(X: VarietyOfLines) -> Mapping[int, tuple[tuple[int, ...], tuple[int, ...]]]:
     """Each direction's 0/1 slice matrix as bitmasks, (rows, cols):
     rows[p - 1] has bit q - 1 set when (p, q) is a line of the
-    direction, and cols[q - 1] has bit p - 1 set."""
+    direction, and cols[q - 1] has bit p - 1 set. The last variety's
+    build is kept (_slice_masks), so the callers that ask in turn about
+    one variety, such as is_acm's routes, share one build; the mapping
+    is read-only."""
+    return MappingProxyType(_slice_masks(X))
+
+
+@lru_cache(maxsize=1)
+def _slice_masks(X: VarietyOfLines) -> dict:
+    """line_masks' data. One entry only: a cache per variety would keep
+    a build alive for every variety a caller holds."""
     masks = {}
     for direction, (fam_p, fam_q) in DIRECTION_FAMILIES.items():
         rows, cols = [0] * X.d[fam_p - 1], [0] * X.d[fam_q - 1]

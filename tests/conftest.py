@@ -442,7 +442,9 @@ def mu_by_matrices(matrices, i, j, k):
 def scan_unclipped(X, box):
     """generator_degree_scan's counts from a loop over the whole box,
     without the warning: it also eliminates at every degree past X.d,
-    where the scan itself stops."""
+    where the scan itself stops, and it eliminates the three-factor
+    rows of _kernel3 on the faces t_a = d_a, where the scan solves one
+    two-factor slice."""
     memo, kernels, found = {}, {}, {}
     for t in _boxrange(box):
         kernels[t] = _kernel3(t, X, memo)

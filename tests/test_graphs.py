@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from acmlines import (
     all_varieties,
     build_graph,
+    compact,
     complement,
     graph_to_dot,
     is_acm,
@@ -15,12 +16,14 @@ from acmlines import (
     is_induced_cycle,
 )
 from acmlines.graphs import Graph, canonical_cycle
+from acmlines.sampling import random_variety
 from conftest import (
     DIAGONAL_PAIR_PLUS_ONE,
     REPAIRED_TRIPLE_POINTS,
     TWO_TRIPLE_POINTS,
     chordless_cycles,
     is_chordal_by_sets,
+    scattered,
 )
 
 
@@ -156,3 +159,17 @@ def test_mask_search_matches_the_set_search_on_every_small_variety(small_populat
     for X in small_population:
         Gc = complement(build_graph(X))
         assert is_chordal(Gc) == is_chordal_by_sets(Gc), X
+
+
+def test_mask_search_matches_the_set_search_on_padded_draws():
+    # unused hyperplanes are universal vertices of the complement; the
+    # search skips the empty levels they leave, with the same order and
+    # so the same witness as is_acm gives
+    rng = random.Random(22)
+    for _ in range(80):
+        X = scattered(rng, compact(random_variety(rng, 3, 0.5)), rng.randint(1, 40))
+        Gc = complement(build_graph(X))
+        verdict = is_chordal_by_sets(Gc)
+        assert is_chordal(Gc) == verdict, X
+        acm = is_acm(X)
+        assert (acm.acm, acm.cycle_witness) == verdict, X

@@ -7,7 +7,7 @@ import random
 import re
 import time
 import warnings
-from operator import gt
+from operator import gt, le
 
 import pytest
 
@@ -36,6 +36,7 @@ from acmlines import experiment, oracles
 from acmlines.linalg import bareiss_rank, extension_coeffs, sparse_rank
 from acmlines.oracles import (
     _boxrange,
+    _dim3,
     _grown_rows,
     _kernel3,
     _multiplied_rows,
@@ -55,6 +56,7 @@ from conftest import (
     hilbert_oracle_naive,
     line_sample_points,
     reisner_cm_by_links,
+    scan_unclipped,
     scattered,
 )
 
@@ -326,6 +328,56 @@ def test_every_kernel_equals_the_row_reference(oracle_population, monkeypatch):
         hilbert_oracle(X, tuple(n + 1 for n in X.d))
     # every path is taken, elimination included
     assert all(calls.values()), calls
+
+
+def test_dim3_counts_the_basis_of_kernel3_on_the_population(oracle_population):
+    # hilbert_oracle counts dim I_t node by node with no kernel vector
+    # built; each count is the length of the basis _kernel3 builds, on
+    # the box one past d, where every saturation pattern occurs
+    for X, _, _ in oracle_population:
+        memo = {}
+        for t in _boxrange(tuple(n + 1 for n in X.d)):
+            assert _dim3(t, X, memo) == len(_kernel3(t, X, {})), (X, t)
+
+
+def test_scan_equals_the_unclipped_loop_on_every_small_variety(small_population):
+    # A face degree, 1 <= d_a = t_a, is one two-factor problem in the
+    # scan; the loop over the box eliminates three-factor rows there.
+    # On the 2x2x2 box every variety has faces on each used axis. Each
+    # count depends only on the degrees below it, so the loop at d, cut
+    # to a box, is the loop over the clipped box.
+    for X in small_population:
+        full = scan_unclipped(X, X.d)
+        for box in ((2, 2, 2), (3, 3, 3), (1, 2, 3)):
+            expected = [(t, n) for t, n in full.items() if all(map(le, t, box))]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", BoxTooSmallWarning)
+                scan = generator_degree_scan(X, box)
+            assert list(scan.items()) == expected, (X, box)
+
+
+def test_scan_equals_the_unclipped_loop_on_draws(oracle_population):
+    # random draws at d and one past it (the loop then also eliminates
+    # past d), at boxes cut below d, and varieties with some d_a = 0
+    inputs = [(X, [X.d, tuple(n + 1 for n in X.d)]) for X, _, _ in oracle_population]
+    rng = random.Random(22)
+    for _ in range(60):
+        X = compact(random_variety(rng, rng.randint(2, 5), 0.4))
+        inputs.append((X, [tuple(rng.randint(0, n) for n in X.d)]))
+    for h, (f, g) in ((3, (0, 1)), (2, (0, 2)), (1, (1, 2))):
+        for _ in range(5):
+            pairs = {(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(rng.randint(1, 6))}
+            d = [0, 0, 0]
+            d[f], d[g] = max(p for p, _ in pairs), max(q for _, q in pairs)
+            X = compact(make_variety(tuple(d), **{f"u{h}": pairs}))
+            assert 0 in X.d
+            inputs.append((X, [X.d, (3, 3, 3)]))
+    for X, boxes in inputs:
+        for box in boxes:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", BoxTooSmallWarning)
+                scan = generator_degree_scan(X, box)
+            assert list(scan.items()) == list(scan_unclipped(X, box).items()), (X, box)
 
 
 def test_face_complex_shape():

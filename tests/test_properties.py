@@ -39,7 +39,14 @@ from acmlines import (
     variety_from_json,
     variety_to_json,
 )
-from acmlines.oracles import _boxrange, _dense_kernel, _kernel2, _kernel3
+from acmlines.oracles import (
+    _boxrange,
+    _dense_kernel,
+    _dim3,
+    _kernel2,
+    _kernel3,
+    _node_dim,
+)
 from acmlines.variety import line_masks, permute_masks
 from acmlines.sampling import random_variety
 from acmlines.criteria import _NUMERIC_CRITERIA
@@ -49,6 +56,7 @@ from conftest import (
     CI_EXAMPLE,
     FULL_BOX_432,
     SINGLE_LINE,
+    _rank2,
     assert_ferrers_checks_match_the_row_sets,
     compact_by_renumbering,
     complement_by_pairs,
@@ -529,6 +537,20 @@ def test_kernel2_equals_the_row_reference(problem):
     )
 
 
+@given(kernel2_problems())
+@example(((1, 1), 0b001, 0b00, (0b01, 0b10, 0b100)))  # P not saturated
+@example(((2, 0), 0b0, 0b10, (0b1, 0b0)))  # a fibre with a node past k+1
+@example(((0, 2), 0b1, 0b111, (0b0, 0b1)))  # every cell zeroed
+@settings(max_examples=150, deadline=None)
+def test_node_dim_counts_the_basis_of_kernel2(problem):
+    # on a saturated first side the count builds no vector: it is the
+    # fibre formula that _rank2 writes as a rank
+    (j, k), row, col, points = problem
+    dim = _node_dim((j, k), row, col, points, {})
+    assert dim == len(_kernel2((j, k), row, col, points, {}))
+    assert dim == (j + 1) * (k + 1) - _rank2((j, k), row, col, points, {})
+
+
 @given(staircase_varieties())
 @settings(max_examples=30, deadline=None)
 def test_hilbert_difference_inverts_prefix_sum(X):
@@ -551,6 +573,17 @@ def test_oracle_equals_the_node_by_node_sum(X, box):
     # uncompacted draws, boxes smaller and larger than d on each axis,
     # so the oracle's affine fill past d meets the rank at every cell
     assert hilbert_oracle(X, box) == hilbert_oracle_by_nodes(X, box)
+
+
+@given(raw_varieties(dmax=5), BOXES)
+@example(make_variety((0, 0, 0)), (1, 0, 2))
+@example(make_variety((3, 0, 2), u2={(1, 1), (3, 2)}), (4, 1, 3))
+@settings(max_examples=60, deadline=None)
+def test_dim3_counts_the_basis_of_kernel3(X, box):
+    # uncompacted draws, every saturation pattern of the box
+    memo = {}
+    for t in _boxrange(box):
+        assert _dim3(t, X, memo) == len(_kernel3(t, X, {})), (X, t)
 
 
 def _redeclared(X, extra, rng):

@@ -32,6 +32,7 @@ from acmlines import (
     variety_to_json,
 )
 from acmlines.errors import BadPermutation
+from acmlines.variety import line_masks
 from conftest import DIAGONAL_PAIR_PLUS_ONE, FULL_BOX_432, SINGLE_LINE
 
 
@@ -301,3 +302,17 @@ def test_all_varieties_refuses_large_boxes_before_yielding():
         all_varieties((2, 3, 3))  # 21 candidate lines
     with pytest.raises(BadParameter):
         all_varieties((2, -1, 2))
+
+
+def test_line_masks_are_shared_and_read_only():
+    X = make_variety((2, 3, 2), u3={(1, 3), (2, 1)}, u2={(2, 2)}, u1={(3, 1), (1, 2)})
+    masks = line_masks(X)
+    assert dict(masks) == {
+        3: ((0b100, 0b001), (0b10, 0, 0b01)),
+        2: ((0b00, 0b10), (0b00, 0b10)),
+        1: ((0b10, 0, 0b01), (0b100, 0b001)),
+    }
+    # one build, shared by the callers that ask in turn about X
+    assert all(line_masks(X)[h] is masks[h] for h in (3, 2, 1))
+    with pytest.raises(TypeError):
+        masks[3] = ((), ())
