@@ -1,21 +1,28 @@
 #!/usr/bin/env python3
-"""Exhaustively cross-check the three ACM routes on a small box.
+"""Exhaustively cross-check the three ACM routes on a small box, or on
+seeded random draws with many hyperplanes per family.
 
 Enumerates every subset of the possible lines over a box of hyperplanes
 (2x2x2 by default, 12 lines; --box 2 2 3 gives 16 lines and 65,535
-varieties), runs the chordality route, the hyperplane-subset route,
-and the numeric multiplicity route on each, and reports any variety
-where the routes disagree, or where acm_decision (route 1 alone, on
-bitmasks) differs from their verdict.  Every route 2 pattern (lengths 4,
-5, 6) is also checked to be a chordless cycle of the complement graph.
-Optionally also compares against the face-ring depth oracle, and, on
-every ACM variety X, compares the two linear-algebra oracles with the
-closed forms of X's Ferrers companion C: the generator scan up to X.d
-against C's minimal degrees (one generator each), and the Hilbert
-oracle against C's Hilbert function on the box max(d_X, d_C) + 1.
+varieties), or, with --random N --dmax D --seed S, draws N varieties
+with random_variety and N with random_ferrers_variety (sides up to D)
+from one generator seeded with S; the draws reach boxes that no
+exhaustive sweep can, where route 2's search prunes the most.  On each
+variety it runs the chordality route, the hyperplane-subset route, and
+the numeric multiplicity route, and reports any variety where the
+routes disagree, or where acm_decision (route 1 alone, on bitmasks)
+differs from their verdict.  Every route 2 pattern (lengths 4, 5, 6) is
+also checked to be a chordless cycle of the complement graph.
+Optionally also compares against the face-ring depth oracle (at most 14
+used hyperplanes), and, on every ACM variety X, compares the two
+linear-algebra oracles with the closed forms of X's Ferrers companion
+C: the generator scan up to X.d against C's minimal degrees (one
+generator each), and the Hilbert oracle against C's Hilbert function on
+the box max(d_X, d_C) + 1.
 """
 
 import argparse
+import random
 import sys
 import time
 
@@ -35,6 +42,8 @@ from acmlines import (
     hilbert_oracle,
     is_acm,
     is_induced_cycle,
+    random_ferrers_variety,
+    random_variety,
     reisner_cm,
     stanley_reisner_complex,
     variety_to_dict,
@@ -53,6 +62,17 @@ def companion_split(X):
     return None
 
 
+def random_draws(n, dmax, seed):
+    """n random_variety draws, then n random_ferrers_variety draws, from
+    one generator seeded with seed; raises BadParameter, before any
+    draw, unless n >= 1 and dmax is a valid sampler side."""
+    if n < 1:
+        raise BadParameter(f"--random needs at least one draw, got {n}")
+    rng = random.Random(seed)
+    draws = [random_variety(rng, dmax) for _ in range(n)]
+    return draws + [random_ferrers_variety(rng, dmax) for _ in range(n)]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--with-oracle", action="store_true",
@@ -60,12 +80,26 @@ def main(argv=None):
     parser.add_argument("--with-companion", action="store_true",
                         help="also compare the generator scan and the Hilbert "
                              "oracle with the Ferrers companion on ACM varieties")
-    parser.add_argument("--box", nargs=3, type=int, default=(2, 2, 2),
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--box", nargs=3, type=int, default=(2, 2, 2),
                         metavar=("I", "J", "K"),
                         help="hyperplanes per family (default 2 2 2)")
+    source.add_argument("--random", type=int, metavar="N",
+                        help="check N random_variety and N "
+                             "random_ferrers_variety draws instead of a box")
+    parser.add_argument("--dmax", type=int, default=12,
+                        help="largest box side of the --random draws (default 12)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed of the --random draws (default 0)")
     args = parser.parse_args(argv)
     try:
-        population = all_varieties(args.box)
+        if args.random is None:
+            population = all_varieties(args.box)
+            label = f"of the {tuple(args.box)} box"
+        else:
+            population = random_draws(args.random, args.dmax, args.seed)
+            label = (f"drawn at random ({args.random} + {args.random}, "
+                     f"dmax {args.dmax}, seed {args.seed})")
     except (BadParameter, SizeLimit) as exc:
         parser.error(str(exc))
 
@@ -107,7 +141,7 @@ def main(argv=None):
                 print("COMPANION DISAGREEMENT:", variety_to_dict(X), split)
 
     elapsed = time.monotonic() - started
-    print(f"checked {total} varieties of the {tuple(args.box)} box "
+    print(f"checked {total} varieties {label} "
           f"in {elapsed:.1f}s: "
           f"{acm} ACM, {disagreements} route disagreements, "
           f"{decision_splits} acm_decision splits, "

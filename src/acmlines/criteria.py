@@ -14,8 +14,7 @@ bitmasks, for callers that need only the yes/no answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations
+from functools import cache, reduce
 from operator import or_
 
 from .errors import BadN, CriteriaDisagreement, OutOfBounds
@@ -33,6 +32,7 @@ from .variety import (
     FAMILY_NAMES,
     HyperplaneId,
     VarietyOfLines,
+    _is_int,
     family_permutation,
     line_masks,
     permute_masks,
@@ -117,56 +117,82 @@ _PATTERN_FAMILY_SEQS = {
 }
 
 
-def _find_pattern(used, masks, fam_seq):
-    """First index assignment matching the pattern, or None.
+@cache
+def _pattern_plan(fam_seq):
+    """The search order of a family sequence and what each step narrows.
 
-    Positions are assigned one per step in (family, position) order,
-    each skipping its same-family predecessor's index. A cross-family
-    pair of positions s, t (s in the lower family) is checked once t is
-    assigned: consecutive positions need an absent line (a complement
-    edge of the cycle), the others a present line (a non-edge). So the
-    candidates of t are one mask, the AND of the line row (from
-    line_masks) of each checked label (or its complement) without the
-    predecessor's bit, tried in ascending order. Every position needs a
-    present line, so the candidates start from used[f - 1], the mask of
-    family f's labels some line uses. Labels are held as bit positions
-    (index - 1).
+    Returns (steps, narrows): steps lists the positions in (family,
+    position) order, and narrows[i] holds an entry (j, direction,
+    must_be_present) for each later step j of another family. A
+    cross-family pair needs an absent line when consecutive (a complement
+    edge of the cycle) and a present one otherwise (a non-edge).
+    Direction 6 - f - g holds the lines of families f < g, and steps
+    sorted by family put f first. Two positions of one family need no
+    entry to take distinct labels: they sit side by side, so the position
+    next to one and not the other (n >= 4) needs a line absent at one
+    label and present at the other.
     """
     n = len(fam_seq)
-    steps = sorted(range(n), key=lambda pos: (fam_seq[pos], pos))
-    checks: list[list] = [[] for _ in range(n)]
-    twins = [n] * n  # labels[n]: no twin yet
-    for s, t in combinations(steps, 2):
-        f, g = fam_seq[s], fam_seq[t]
-        if f == g:
-            twins[t] = s
-        else:  # direction 6 - f - g holds the lines of families f < g
-            consecutive = abs(s - t) in (1, n - 1)
-            checks[t].append((s, masks[6 - f - g][0], not consecutive))
-    starts = [used[f - 1] for f in fam_seq]
-    labels = [max(used).bit_length()] * (n + 1)  # a bit in no used mask
+    steps = tuple(sorted(range(n), key=lambda pos: (fam_seq[pos], pos)))
+    narrows = []
+    for i, s in enumerate(steps):
+        f = fam_seq[s]
+        narrows.append(tuple(
+            (j, 6 - f - fam_seq[t], abs(s - t) not in (1, n - 1))
+            for j, t in enumerate(steps[i + 1:], i + 1)
+            if fam_seq[t] != f
+        ))
+    return steps, tuple(narrows)
 
-    def assign(step):
-        if step == n:
-            return tuple(
-                HyperplaneId(FAMILY_NAMES[f - 1], i + 1)
-                for f, i in zip(fam_seq, labels)
-            )
-        pos = steps[step]
-        candidates = starts[pos] & ~(1 << labels[twins[pos]])
-        for s, rows, must_be_present in checks[pos]:
-            row = rows[labels[s]]
-            candidates &= row if must_be_present else ~row
+
+def _find_pattern(used, rows, fam_seq):
+    """First index assignment matching the pattern, or None.
+
+    rows[h] is the line rows of direction h (line_masks(X)[h][0]).
+    Positions are assigned one per step in (family, position) order, and
+    each holds a bitmask domain of the labels still possible, starting
+    from used[f - 1], the mask of family f's labels some line uses (every
+    position needs a present line). Labels are held as bit positions
+    (index - 1). Assigning label x to a position narrows the domain of
+    every later position of another family at once (forward checking):
+    it ANDs the line row of x or its complement. If some domain becomes
+    empty, x is skipped without descending. Each position tries its
+    domain in ascending order, which is the candidate set a search
+    checking each pair only at the later position would try; a skipped x
+    leads to no complete assignment, so the first assignment found is the
+    same.
+    """
+    steps, narrows = _pattern_plan(fam_seq)
+    last = len(steps) - 1
+    labels = [0] * len(steps)  # by position
+
+    def assign(i, domains):
+        candidates = domains[i]
+        if i == last:
+            labels[steps[i]] = _first(candidates) - 1
+            return True
         while candidates:
             low = candidates & -candidates
-            labels[pos] = low.bit_length() - 1
-            result = assign(step + 1)
-            if result is not None:
-                return result
             candidates ^= low
-        return None
+            x = low.bit_length() - 1
+            narrowed = domains.copy()
+            for j, direction, must_be_present in narrows[i]:
+                row = rows[direction][x]
+                domain = narrowed[j] & (row if must_be_present else ~row)
+                if not domain:
+                    break
+                narrowed[j] = domain
+            else:
+                labels[steps[i]] = x
+                if assign(i + 1, narrowed):
+                    return True
+        return False
 
-    return assign(0)
+    if not assign(0, [used[fam_seq[pos] - 1] for pos in steps]):
+        return None
+    return tuple(
+        HyperplaneId(FAMILY_NAMES[f - 1], x + 1) for f, x in zip(fam_seq, labels)
+    )
 
 
 def has_hyp_star(X: VarietyOfLines, n: int):
@@ -177,13 +203,14 @@ def has_hyp_star(X: VarietyOfLines, n: int):
     6 hold vacuously: a cycle pattern of length >= 7 would need three
     vertices in one family, which is impossible.
     """
-    if n < 4:
-        raise BadN(f"cycle length must be at least 4, got {n}")
+    if not (_is_int(n) and n >= 4):
+        raise BadN(f"cycle length must be an integer of at least 4, got {n!r}")
     masks = line_masks(X)
     (r3, c3), (r2, c2), (r1, c1) = masks[3], masks[2], masks[1]
     used = [reduce(or_, rows, 0) for rows in (c3 + c2, r3 + c1, r2 + r1)]
+    line_rows = {1: r1, 2: r2, 3: r3}
     for fam_seq in _PATTERN_FAMILY_SEQS.get(n, ()):
-        witness = _find_pattern(used, masks, fam_seq)
+        witness = _find_pattern(used, line_rows, fam_seq)
         if witness is not None:
             return False, witness
     return True, None

@@ -36,7 +36,8 @@ class BadParameter(AcmLinesError):
 
 
 class BadN(AcmLinesError):
-    """Cycle length below 4 makes no sense for an induced-cycle test."""
+    """A cycle length that is not an integer of at least 4 makes no sense
+    for an induced-cycle test."""
 
 
 class NotFerrers(AcmLinesError):

@@ -1,6 +1,8 @@
 """Shared fixtures: the worked examples used across the suite, two
 session-scoped populations reused by several acceptance criteria,
-brute-force references for the witnesses of routes 2 and 3, the
+brute-force references for the witnesses of routes 2 and 3, route 2's
+search as it backtracked before forward checking, staircases with
+exactly the hyperplane counts d, the
 chordality search and chordless-cycle enumeration on vertex sets, the
 edge-set graphs and 0/1 slice matrices the package once built, the
 generator scan over the whole box, the Hilbert tables and compaction
@@ -13,8 +15,10 @@ link by link, the complete-intersection rectangle rule and grid
 Hilbert formula that generator data replaced, and a Ferrers variety's
 generator degrees as the minimal elements of a product of corners."""
 
+import functools
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -57,6 +61,7 @@ from acmlines.variety import (
     _renumber,
     box_table,
     check_box,
+    line_masks,
     permute_families,
 )
 
@@ -179,6 +184,81 @@ def first_pattern_by_product(X, n):
             if is_induced_cycle(Gc, cycle):
                 return cycle
     return None
+
+
+def first_pattern_by_backtracking(X, n):
+    """Route 2's length-n witness as has_hyp_star found it before forward
+    checking, or None.
+
+    Positions are assigned one per step in (family, position) order,
+    each skipping its same-family predecessor's index. A cross-family
+    pair of positions s, t (s in the lower family) is checked once t is
+    assigned: consecutive positions need an absent line (a complement
+    edge of the cycle), the others a present line (a non-edge). So the
+    candidates of t are one mask, the AND of the line row of each checked
+    label (or its complement) without the predecessor's bit, tried in
+    ascending order, starting from the mask of family f's used labels.
+    """
+    masks = line_masks(X)
+    (r3, c3), (r2, c2), (r1, c1) = masks[3], masks[2], masks[1]
+    used = [functools.reduce(operator.or_, rows, 0) for rows in (c3 + c2, r3 + c1, r2 + r1)]
+    for fam_seq in _PATTERN_FAMILY_SEQS.get(n, ()):
+        steps = sorted(range(n), key=lambda pos: (fam_seq[pos], pos))
+        checks = [[] for _ in range(n)]
+        twins = [n] * n  # labels[n]: no twin yet
+        for s, t in itertools.combinations(steps, 2):
+            f, g = fam_seq[s], fam_seq[t]
+            if f == g:
+                twins[t] = s
+            else:
+                consecutive = abs(s - t) in (1, n - 1)
+                checks[t].append((s, masks[6 - f - g][0], not consecutive))
+        starts = [used[f - 1] for f in fam_seq]
+        labels = [max(used).bit_length()] * (n + 1)  # a bit in no used mask
+
+        def assign(step):
+            if step == n:
+                return tuple(
+                    HyperplaneId(FAMILY_NAMES[f - 1], i + 1)
+                    for f, i in zip(fam_seq, labels)
+                )
+            pos = steps[step]
+            candidates = starts[pos] & ~(1 << labels[twins[pos]])
+            for s, rows, must_be_present in checks[pos]:
+                row = rows[labels[s]]
+                candidates &= row if must_be_present else ~row
+            while candidates:
+                low = candidates & -candidates
+                labels[pos] = low.bit_length() - 1
+                result = assign(step + 1)
+                if result is not None:
+                    return result
+                candidates ^= low
+            return None
+
+        witness = assign(0)
+        if witness is not None:
+            return witness
+    return None
+
+
+def _staircase_cells(rng, rows, first):
+    parts = [first] + sorted((rng.randint(1, first) for _ in range(rows - 1)), reverse=True)
+    return {(r, c) for r, size in enumerate(parts, 1) for c in range(1, size + 1)}
+
+
+def ferrers_with_d(rng, d):
+    """An ACM literal Ferrers variety whose hyperplane counts are exactly
+    d: the A x B staircase has d1 rows and a first row of d2, the A x C
+    staircase a first row of d3, the other sizes are random. No pattern
+    exists, so route 2 searches the whole box at every length."""
+    d1, d2, d3 = d
+    return make_variety(
+        d,
+        _staircase_cells(rng, d1, d2),
+        _staircase_cells(rng, rng.randint(1, d1), d3),
+        _staircase_cells(rng, rng.randint(1, d2), rng.randint(1, d3)),
+    )
 
 
 def _ordered_pairs(size):

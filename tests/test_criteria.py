@@ -21,7 +21,7 @@ from acmlines import (
     multiplicity_tensor,
 )
 from acmlines.criteria import _NUMERIC_CRITERIA
-from acmlines.sampling import random_variety
+from acmlines.sampling import random_ferrers_variety, random_variety
 from conftest import (
     DIAGONAL_PAIR_PLUS_ONE,
     FIVE_HYPERPLANE_EXAMPLE,
@@ -29,6 +29,8 @@ from conftest import (
     REPAIRED_TRIPLE_POINTS,
     TWO_TRIPLE_POINTS,
     WORKED_EXAMPLES,
+    ferrers_with_d,
+    first_pattern_by_backtracking,
     first_pattern_by_product,
     numeric_by_mu,
     scattered,
@@ -123,25 +125,13 @@ def test_pattern_witnesses_match_product_search(X):
         assert has_hyp_star(X, n) == (witness is None, witness)
 
 
-def _staircase(rng, rows, first):
-    parts = [first] + sorted((rng.randint(1, first) for _ in range(rows - 1)), reverse=True)
-    return {(r, c) for r, size in enumerate(parts, 1) for c in range(1, size + 1)}
-
-
 @pytest.mark.parametrize(
     "seed, d", [(1, (5, 5, 5)), (2, (6, 5, 7)), (3, (7, 7, 6)), (4, (8, 8, 8))]
 )
 def test_pattern_witnesses_match_product_search_on_staircases(seed, d):
     # An ACM Ferrers variety with hyperplane counts exactly d: no pattern
     # exists, so both searches run over the whole box at every length.
-    rng = random.Random(seed)
-    d1, d2, d3 = d
-    X = make_variety(
-        d,
-        _staircase(rng, d1, d2),
-        _staircase(rng, rng.randint(1, d1), d3),
-        _staircase(rng, rng.randint(1, d2), rng.randint(1, d3)),
-    )
+    X = ferrers_with_d(random.Random(seed), d)
     assert X.is_compact()
     for n in (4, 5, 6):
         witness = first_pattern_by_product(X, n)
@@ -157,6 +147,63 @@ def test_pattern_witnesses_match_product_search_on_padded_varieties():
         for n in (4, 5, 6):
             witness = first_pattern_by_product(X, n)
             assert has_hyp_star(X, n) == (witness is None, witness), X
+
+
+def _assert_same_patterns_as_backtracking(X):
+    for n in (4, 5, 6):
+        witness = first_pattern_by_backtracking(X, n)
+        assert has_hyp_star(X, n) == (witness is None, witness), (X, n)
+
+
+def test_pattern_search_matches_backtracking_on_every_small_variety(small_population):
+    for X in small_population:
+        _assert_same_patterns_as_backtracking(X)
+
+
+@pytest.mark.parametrize("d", [(6, 6, 6), (8, 8, 8), (10, 12, 12)])
+def test_pattern_search_matches_backtracking_on_staircases(d):
+    # ACM input: no pattern, so forward checking prunes a search that
+    # must run to exhaustion at every length
+    rng = random.Random(sum(d))
+    for _ in range(10):
+        X = ferrers_with_d(rng, d)
+        _assert_same_patterns_as_backtracking(X)
+        assert all(has_hyp_star(X, n) == (True, None) for n in (4, 5, 6))
+
+
+@pytest.mark.parametrize("dmax", [8, 12])
+def test_pattern_search_matches_backtracking_on_random_varieties(dmax):
+    rng = random.Random(dmax)
+    for _ in range(60):
+        _assert_same_patterns_as_backtracking(random_variety(rng, dmax, rng.choice((0.2, 0.5))))
+        _assert_same_patterns_as_backtracking(random_ferrers_variety(rng, dmax))
+
+
+def test_pattern_search_matches_backtracking_on_padded_varieties():
+    # unused labels are in no domain, wherever they sit among the used ones
+    rng = random.Random(23)
+    for _ in range(60):
+        X = compact(random_variety(rng, 5, 0.5))
+        _assert_same_patterns_as_backtracking(scattered(rng, X, 4))
+
+
+def test_forward_checking_at_least_halves_the_search_time_on_staircases():
+    # A ratio of two searches timed interleaved in one process holds on a
+    # slow host, where a wall-clock budget would not; it was about 0.2.
+    staircases = [ferrers_with_d(random.Random(s), (10, 12, 12)) for s in range(10)]
+
+    def seconds(search):
+        started = time.perf_counter()
+        for X in staircases:
+            for n in (4, 5, 6):
+                search(X, n)
+        return time.perf_counter() - started
+
+    forward, backtracking = [], []
+    for _ in range(3):
+        forward.append(seconds(has_hyp_star))
+        backtracking.append(seconds(first_pattern_by_backtracking))
+    assert min(forward) <= 0.5 * min(backtracking), (forward, backtracking)
 
 
 def test_pattern_search_time_is_set_by_the_used_labels():
@@ -217,6 +264,14 @@ def test_bad_n_below_four():
         has_hyp_star(TWO_TRIPLE_POINTS, 3)
     with pytest.raises(BadN):
         has_hyp_star(TWO_TRIPLE_POINTS, 0)
+
+
+@pytest.mark.parametrize("n", [4.5, 5.0, "5", None, True, False])
+def test_bad_n_that_is_no_integer_is_refused(n):
+    # 4.5 used to pass as (True, None), 5.0 to run as 5, and "5" and
+    # None to raise TypeError
+    with pytest.raises(BadN):
+        has_hyp_star(TWO_TRIPLE_POINTS, n)
 
 
 def test_verdict_shape():

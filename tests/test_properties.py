@@ -64,6 +64,7 @@ from conftest import (
     conditions2,
     delta_hilbert_by_leq,
     dense_kernel_by_rows,
+    first_pattern_by_backtracking,
     first_pattern_by_product,
     graph_by_edge_sets,
     hilbert_oracle_by_nodes,
@@ -191,6 +192,14 @@ def test_tensor_matches_the_membership_matrices(X):
 def test_pattern_witnesses_match_product_search(X):
     for n in (4, 5, 6):
         witness = first_pattern_by_product(X, n)
+        assert has_hyp_star(X, n) == (witness is None, witness)
+
+
+@given(varieties(dmax=6))
+@settings(max_examples=100, deadline=None)
+def test_pattern_search_matches_backtracking(X):
+    for n in (4, 5, 6):
+        witness = first_pattern_by_backtracking(X, n)
         assert has_hyp_star(X, n) == (witness is None, witness)
 
 

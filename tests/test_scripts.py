@@ -32,3 +32,32 @@ def test_companion_sweep_counts_the_acm_varieties_and_their_splits(capsys, monke
     out = capsys.readouterr().out
     assert "COMPANION DISAGREEMENT:" in out and "generator degrees" in out
     assert ": 7 ACM, " in out and out.endswith(", 7 companion splits\n")
+
+
+def test_random_sweep_is_seeded_and_checks_every_draw(capsys, monkeypatch):
+    script = load_script("exhaustive_route_check")
+    args = ["--random", "40", "--dmax", "12", "--seed", "23"]
+    assert script.main(args) == 0
+    first = capsys.readouterr().out
+    assert first.startswith("checked 80 varieties drawn at random (40 + 40, dmax 12, seed 23) ")
+    assert ", 0 route disagreements, 0 acm_decision splits, " in first
+    assert first.endswith(" (0 not chordless cycles)\n")
+    assert script.main(args) == 0
+    again = capsys.readouterr().out
+    assert first.split(": ", 1)[1] == again.split(": ", 1)[1]  # all but the time
+    # a wrong decision is a split on every draw whose routes disagree with it
+    monkeypatch.setattr(script, "acm_decision", lambda X: False)
+    assert script.main(args) == 1
+    out = capsys.readouterr().out
+    assert "DECISION DISAGREEMENT:" in out and ", 0 acm_decision splits, " not in out
+
+
+@pytest.mark.parametrize("args", [
+    ["--random", "5", "--box", "2", "2", "2"],
+    ["--random", "0"],
+    ["--random", "5", "--dmax", "17"],
+])
+def test_random_sweep_refuses_bad_arguments(args):
+    with pytest.raises(SystemExit) as exc:
+        load_script("exhaustive_route_check").main(args)
+    assert exc.value.code == 2
