@@ -156,7 +156,8 @@ def _find_pattern(used, rows, fam_seq):
     (index - 1). Assigning label x to a position narrows the domain of
     every later position of another family at once (forward checking):
     it ANDs the line row of x or its complement. If some domain becomes
-    empty, x is skipped without descending. Each position tries its
+    empty, x is skipped without descending; the domains are copied and
+    narrowed only for an x that survives. Each position tries its
     domain in ascending order, which is the candidate set a search
     checking each pair only at the later position would try; a skipped x
     leads to no complete assignment, so the first assignment found is the
@@ -171,18 +172,21 @@ def _find_pattern(used, rows, fam_seq):
         if i == last:
             labels[steps[i]] = _first(candidates) - 1
             return True
+        plan = narrows[i]
         while candidates:
             low = candidates & -candidates
             candidates ^= low
             x = low.bit_length() - 1
-            narrowed = domains.copy()
-            for j, direction, must_be_present in narrows[i]:
+            for j, direction, must_be_present in plan:
                 row = rows[direction][x]
-                domain = narrowed[j] & (row if must_be_present else ~row)
-                if not domain:
+                if not domains[j] & (row if must_be_present else ~row):
                     break
-                narrowed[j] = domain
             else:
+                # x survives: only now copy the domains and narrow them
+                narrowed = domains.copy()
+                for j, direction, must_be_present in plan:
+                    row = rows[direction][x]
+                    narrowed[j] &= row if must_be_present else ~row
                 labels[steps[i]] = x
                 if assign(i + 1, narrowed):
                     return True

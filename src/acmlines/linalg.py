@@ -20,12 +20,24 @@ def _echelon(rows, limit=None) -> dict:
     each stored row having its pivot as its smallest column. The input
     rows are not modified.
 
+    A unit row, one entry whose column is not yet a pivot, is stored as
+    +-1 there with no elimination: that is the primitive row the general
+    path would store.
+
     With a positive limit, returns as soon as it holds that many pivots
     (the rows after that are not read), so the pivot count is
     min(rank, limit).
     """
     pivots: dict = {}
     for raw in rows:
+        if len(raw) == 1:
+            (c, v), = raw.items()
+            if c not in pivots:
+                if v:
+                    pivots[c] = {c: 1 if v > 0 else -1}
+                    if len(pivots) == limit:
+                        return pivots
+                continue
         row = {c: v for c, v in raw.items() if v}
         while row:
             c = min(row)

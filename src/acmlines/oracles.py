@@ -18,19 +18,21 @@ nodes are eliminated, on the cells left (_dense_kernel, _kernel2).
 Each oracle takes only the slice data it needs. The Hilbert oracle is
 dim R_t - dim I_t on the core box min(box, max(d, 1)), continued
 affinely past it (see hilbert_oracle); it counts dim I_t slice by slice
-(_dim3), and on a saturated fibre the count is a formula, so it builds
-no kernel vector there.
+(_dim3). On a saturated fibre the count is a formula, and with no
+saturated factor it is the cells kept minus the rank of the conditions
+left (_dense_dim), so it builds a kernel vector only for a dense block.
 
 The generator scan counts minimal ideal generators per multidegree as
 dim I_t minus the dimension spanned by degree-one multiples of lower
 pieces. That span lies inside I_t, so its elimination stops once the
-rank reaches dim I_t. Along an axis that is saturated one step below,
-every kernel vector sits on one node x, and its two multiples span the
-same space as the vector and its copy at the new node (the 2x2
-determinant is c_x (t_a + 1 - x), with c_x the nonzero extension
-coefficient), so those copies are the rows. The scan walks only the box
-clipped to the declared hyperplane counts d. At a degree t with some
-t_a > d_a, nodes t_a and t_a + 1 of axis a both lie past every
+rank reaches dim I_t. A kernel vector that sits on one node x of an
+axis (along an axis saturated one step below, every vector does) has
+two multiples that span the same space as the vector and its copy at
+the new node (the 2x2 determinant is c_x (t_a + 1 - x), with c_x the
+nonzero extension coefficient), so those two are its rows; only a
+vector spread over several nodes is multiplied out. The scan walks only
+the box clipped to the declared hyperplane counts d. At a degree t with
+some t_a > d_a, nodes t_a and t_a + 1 of axis a both lie past every
 hyperplane of family a, the copied rows already span I_t, and so no
 minimal generator lies past d. On a face of that box, t_a = d_a >= 1,
 every node slice but the one past d_a is already spanned by the copied
@@ -98,11 +100,11 @@ def _eval_row(node_count: int, node: int) -> tuple[int, ...]:
     )
 
 
-def _cell_kernel(sizes, cells, conditions) -> list[dict]:
-    """Kernel basis of vanishing conditions on some cells of a tensor
-    product of value spaces (factor n has sizes[n] coordinates), every
-    other cell held at zero, as sparse {cell: value} dicts. cells are
-    1-based and in row-major order.
+def _cell_rows(sizes, cells, conditions) -> list[list[int]]:
+    """The rows of vanishing conditions on some cells of a tensor product
+    of value spaces (factor n has sizes[n] coordinates), every other cell
+    held at zero, as dense integer rows over the cells. cells are 1-based
+    and in row-major order.
 
     A condition gives one integer node per factor, or None for a factor
     it leaves free: it asks a polynomial to vanish on the coordinate
@@ -110,8 +112,6 @@ def _cell_kernel(sizes, cells, conditions) -> list[dict]:
     products of the nodes' evaluation functionals with each unit vector
     of the free factors in turn, built here on the given cells only.
     """
-    if not cells:
-        return []
     rows = []
     for nodes in conditions:
         evals = [
@@ -125,6 +125,15 @@ def _cell_kernel(sizes, cells, conditions) -> list[dict]:
                 free = tuple(x for e, x in zip(evals, cell) if e is None)
                 by_free.setdefault(free, [0] * len(cells))[n] = v
         rows.extend(by_free.values())
+    return rows
+
+
+def _cell_kernel(sizes, cells, conditions) -> list[dict]:
+    """Kernel basis of the conditions of _cell_rows on the given cells,
+    as sparse {cell: value} dicts."""
+    if not cells:
+        return []
+    rows = _cell_rows(sizes, cells, conditions)
     if not rows:
         return [{cell: 1} for cell in cells]
     return [
@@ -133,22 +142,13 @@ def _cell_kernel(sizes, cells, conditions) -> list[dict]:
     ]
 
 
-def _dense_kernel(sizes, conditions) -> list[dict]:
-    """Kernel basis of vanishing conditions (see _cell_kernel) on the
-    whole value grid, as sparse {cell: value} dicts over its 1-based
-    cells.
+def _value_split(sizes, conditions):
+    """The cells of the value grid that the value-node conditions leave,
+    and the other conditions.
 
     A value-node condition, one whose every fixed node n has n <= size,
     only zeroes cells: its rows are multiples of the unit vectors of the
-    cells it cuts out (see _eval_row). Those cells are dropped before any
-    elimination, and the other conditions are eliminated on the cells
-    left. The basis is still the one nullspace gives on the whole grid.
-    The dropped cells' unit vectors lie in the row space, so its pivot
-    columns are the dropped cells plus the pivots of the reduced rows,
-    which leaves the same free columns, and the kernel vector of a free
-    column (primitive, positive there and zero at the other free
-    columns) is unique.
-    """
+    cells it cuts out (see _eval_row)."""
     killed = set()
     rest = []
     for nodes in conditions:
@@ -160,7 +160,36 @@ def _dense_kernel(sizes, conditions) -> list[dict]:
         else:
             rest.append(nodes)
     grid = product(*(range(1, size + 1) for size in sizes))
-    return _cell_kernel(sizes, [c for c in grid if c not in killed], rest)
+    return [c for c in grid if c not in killed], rest
+
+
+def _dense_kernel(sizes, conditions) -> list[dict]:
+    """Kernel basis of vanishing conditions (see _cell_rows) on the whole
+    value grid, as sparse {cell: value} dicts over its 1-based cells.
+
+    The cells that the value-node conditions zero are dropped before any
+    elimination (_value_split), and the other conditions are eliminated
+    on the cells left. The basis is still the one nullspace gives on the
+    whole grid. The dropped cells' unit vectors lie in the row space, so
+    its pivot columns are the dropped cells plus the pivots of the
+    reduced rows, which leaves the same free columns, and the kernel
+    vector of a free column (primitive, positive there and zero at the
+    other free columns) is unique.
+    """
+    return _cell_kernel(sizes, *_value_split(sizes, conditions))
+
+
+def _dense_dim(sizes, conditions) -> int:
+    """len(_dense_kernel(sizes, conditions)), counted with no kernel
+    vector built: the cells kept minus the rank of the conditions left on
+    them."""
+    cells, rest = _value_split(sizes, conditions)
+    rows = _cell_rows(sizes, cells, rest)
+    if not rows:
+        return len(cells)
+    return len(cells) - sparse_rank(
+        [{n: v for n, v in enumerate(row) if v} for row in rows]
+    )
 
 
 def _line_conditions(X: VarietyOfLines):
@@ -216,7 +245,9 @@ def _kernel2(deg_pair, row, col, points, memo) -> list[dict]:
     value nodes are eliminated on the cells kept, as one dense block.
 
     Kept in the call's memo under (deg_pair, row, col, points), and so
-    is each fibre kernel under ("fibre", k, s).
+    is each fibre kernel under ("fibre", k, s) and its vectors tagged
+    with y under (y, k, s): node problems that share a fibre share its
+    dicts, which no caller modifies.
     """
     key = (deg_pair, row, col, points)
     if key in memo:
@@ -226,14 +257,19 @@ def _kernel2(deg_pair, row, col, points, memo) -> list[dict]:
     if len(points) <= j + 1:
         out = []
         for y, s in fibres.items():
-            fibre = memo.get(("fibre", k, s))
-            if fibre is None:
-                fibre = memo[("fibre", k, s)] = _cell_kernel(
-                    (k + 1,),
-                    [(z,) for z in _kept(s, k + 1)],
-                    [(c,) for c in _past(s, k + 1)],
-                )
-            out.extend({(y, z): v for (z,), v in g.items()} for g in fibre)
+            tagged = memo.get((y, k, s))
+            if tagged is None:
+                fibre = memo.get(("fibre", k, s))
+                if fibre is None:
+                    fibre = memo[("fibre", k, s)] = _cell_kernel(
+                        (k + 1,),
+                        [(z,) for z in _kept(s, k + 1)],
+                        [(c,) for c in _past(s, k + 1)],
+                    )
+                tagged = memo[(y, k, s)] = [
+                    {(y, z): v for (z,), v in g.items()} for g in fibre
+                ]
+            out += tagged
     else:
         # most blocks have no cell left, and then no condition is built
         cells = [(y, z) for y, s in fibres.items() for z in _kept(s, k + 1)]
@@ -269,10 +305,17 @@ def _view(order, X: VarietyOfLines, memo):
     return view
 
 
-def _saturated_first(families, deg, d) -> tuple:
-    """The families (1-based) with the saturated ones at deg first (d_f <=
-    deg_f + 1), each group in the given order."""
-    return tuple(sorted(families, key=lambda f: d[f - 1] > deg[f - 1] + 1))
+def _saturation(deg, d) -> tuple:
+    """Which factors are saturated at deg (d_f <= deg_f + 1), in order."""
+    return d[0] <= deg[0] + 1, d[1] <= deg[1] + 1, d[2] <= deg[2] + 1
+
+
+def _saturated_first(families, saturated) -> tuple:
+    """The families (1-based) with the saturated ones first, each group
+    in the given order."""
+    return tuple(f for f in families if saturated[f - 1]) + tuple(
+        f for f in families if not saturated[f - 1]
+    )
 
 
 def _front_view(deg, X: VarietyOfLines, memo):
@@ -282,11 +325,31 @@ def _front_view(deg, X: VarietyOfLines, memo):
 
     Returns None when no factor is saturated, else the order with the
     saturated factors first (each group in ascending order) and _view of
-    that order."""
-    order = _saturated_first((1, 2, 3), deg, X.d)
-    if X.d[order[0] - 1] > deg[order[0] - 1] + 1:
-        return None
-    return (order, *_view(order, X, memo))
+    that order. Kept in memo under the saturation pattern."""
+    key = ("front", _saturation(deg, X.d))
+    if key in memo:
+        return memo[key]
+    saturated = key[1]
+    if not any(saturated):
+        view = None
+    else:
+        order = _saturated_first((1, 2, 3), saturated)
+        view = (order, *_view(order, X, memo))
+    memo[key] = view
+    return view
+
+
+def _face_view(a, t, X: VarietyOfLines, memo):
+    """The order of a face degree t (1 <= d_a = t_a, see _face_rows),
+    family a + 1 first and then the other two, saturated first, and _view
+    of that order. Kept in memo under a and the saturation pattern."""
+    key = ("face", a, _saturation(t, X.d))
+    view = memo.get(key)
+    if view is None:
+        others = tuple(f for f in (1, 2, 3) if f != a + 1)
+        order = (a + 1,) + _saturated_first(others, key[2])
+        view = memo[key] = (order, *_view(order, X, memo))
+    return view
 
 
 def _kernel3(deg, X: VarietyOfLines, memo):
@@ -333,7 +396,7 @@ def _dim3(deg, X: VarietyOfLines, memo) -> int:
     points alone), counted once."""
     view = _front_view(deg, X, memo)
     if view is None:
-        return len(_dense_kernel(tuple(t + 1 for t in deg), _line_conditions(X)))
+        return _dense_dim(tuple(t + 1 for t in deg), _line_conditions(X))
     _, pick, rows, cols, points = view
     i, j, k = pick(deg)
     dim = sum(_node_dim((j, k), r, c, points, memo) for r, c in zip(rows, cols))
@@ -414,36 +477,39 @@ def _multiplied_rows(g: dict, axis: int, coeffs: list[int]):
     return row0, row1
 
 
-def _grown_rows(t, kernels, d) -> list[dict]:
+def _grown_rows(t, kernels) -> list[dict]:
     """Rows spanning the degree-one multiples at t of the kernel bases
     one step below (kernels[t - e_a] for each axis a with t_a > 0), two
     rows per kernel vector and axis, in any number of factors.
 
-    An axis a with d_a <= t_a is saturated at t - e_a, where every kernel
-    vector g sits on a single node x of a. Its two multiples are g + c_x
-    g' and x g + (t_a + 1) c_x g', with g' the copy of g at the new node
-    t_a + 1 and c_x = extension_coeffs(t_a)[x - 1] != 0; their
-    determinant c_x (t_a + 1 - x) is nonzero, so the pair spans exactly
-    {g, g'}, and those two are the rows. Other axes use _multiplied_rows.
-    The scan's three-factor degrees all have t_a < d_a or t_a = 0, so
-    there the copy rule fires only inside the two-factor face problems
-    of _face_rows.
+    A kernel vector g whose cells all sit on one node x of axis a gives
+    the copy rule. Its two multiples are g + c_x g' and x g + (t_a + 1)
+    c_x g', with g' the copy of g at the new node t_a + 1 and c_x =
+    extension_coeffs(t_a)[x - 1] != 0; their determinant c_x (t_a + 1 -
+    x) is nonzero, as x <= t_a, so the pair spans exactly {g, g'}, and
+    those two are the rows. That holds whether or not a is saturated; on
+    a saturated axis every kernel vector sits on one node. A vector
+    spread over several nodes of a gives its two multiples
+    (_multiplied_rows).
     """
     rows: list[dict] = []
     for axis in range(len(t)):
         if t[axis] == 0:
             continue
         below = kernels[t[:axis] + (t[axis] - 1,) + t[axis + 1:]]
-        if d[axis] <= t[axis]:
-            new = t[axis] + 1
-            for g in below:
+        new = t[axis] + 1
+        coeffs = None
+        for g in below:
+            cells = iter(g)
+            x = next(cells)[axis]
+            if all(c[axis] == x for c in cells):
                 rows.append(g)
                 rows.append(
                     {c[:axis] + (new,) + c[axis + 1:]: v for c, v in g.items()}
                 )
-        else:
-            coeffs = extension_coeffs(t[axis])
-            for g in below:
+            else:
+                if coeffs is None:
+                    coeffs = extension_coeffs(t[axis])
                 rows.extend(_multiplied_rows(g, axis, coeffs))
     return rows
 
@@ -453,15 +519,12 @@ def _face_rows(a, t, X: VarietyOfLines, memo, faces):
     a degree t with 1 <= d_a = t_a (see generator_degree_scan).
 
     K_inf(t') is the points-only problem of the nodes past d_a, in the
-    other two degrees t', with the pair ordered saturated first so that
-    _kernel2 takes its fibre branch. Its basis is kept in faces[t], with
-    the pair order, for the degrees t + e_b; a basis solved in the other
-    order is transposed, not solved again.
+    other two degrees t', with the pair ordered saturated first
+    (_face_view) so that _kernel2 takes its fibre branch. Its basis is
+    kept in faces[t], with the pair order, for the degrees t + e_b; a
+    basis solved in the other order is transposed, not solved again.
     """
-    order = (a + 1,) + _saturated_first(
-        tuple(f for f in (1, 2, 3) if f != a + 1), t, X.d
-    )
-    pick, rows, cols, points = _view(order, X, memo)
+    order, pick, rows, cols, points = _face_view(a, t, X, memo)
     _, j, k = pick(t)
     pair = order[1:]
     inf = _kernel2((j, k), 0, 0, points, memo)
@@ -477,7 +540,7 @@ def _face_rows(a, t, X: VarietyOfLines, memo, faces):
             if pair_s != pair:
                 basis = [{(z, y): v for (y, z), v in g.items()} for g in basis]
             below[(j - 1, k) if n == 0 else (j, k - 1)] = basis
-    grown += _grown_rows((j, k), below, pick(X.d)[1:])
+    grown += _grown_rows((j, k), below)
     return len(inf), grown
 
 
@@ -538,7 +601,7 @@ def generator_degree_scan(X: VarietyOfLines, box) -> dict:
         if a is None:
             kernels[t] = _kernel3(t, X, memo)
             dim = len(kernels[t])
-            rows = _grown_rows(t, kernels, d) if dim else []
+            rows = _grown_rows(t, kernels) if dim else []
         else:
             dim, rows = _face_rows(a, t, X, memo, faces)
         if dim:

@@ -5,7 +5,9 @@ search as it backtracked before forward checking, staircases with
 exactly the hyperplane counts d, the
 chordality search and chordless-cycle enumeration on vertex sets, the
 edge-set graphs and 0/1 slice matrices the package once built, the
-generator scan over the whole box, the Hilbert tables and compaction
+generator scan over the whole box, its grown rows as they were
+built before the copy rule applied to every one-node vector, the
+elimination before its unit-row path, the Hilbert tables and compaction
 as they were computed cell by cell and family by family, the Ferrers
 checks on row sets of permuted varieties, the Hilbert
 oracle as literal evaluation-matrix ranks and as node-by-node ranks
@@ -44,7 +46,7 @@ from acmlines import (
 from acmlines.criteria import _PATTERN_FAMILY_SEQS, _pattern_witness
 from acmlines.graphs import _bits, canonical_cycle
 from acmlines.ferrers import FerrersCheck
-from acmlines.linalg import bareiss_rank, nullspace, sparse_rank
+from acmlines.linalg import bareiss_rank, extension_coeffs, nullspace, sparse_rank
 from acmlines.oracles import (
     _boxrange,
     _eval_row,
@@ -53,6 +55,7 @@ from acmlines.oracles import (
     _grown_rows,
     _kernel3,
     _line_conditions,
+    _multiplied_rows,
 )
 from acmlines.sampling import random_variety
 from acmlines.variety import (
@@ -530,10 +533,64 @@ def scan_unclipped(X, box):
         kernels[t] = _kernel3(t, X, memo)
         dim_ideal = len(kernels[t])
         if dim_ideal:
-            count = dim_ideal - sparse_rank(_grown_rows(t, kernels, X.d), dim_ideal)
+            count = dim_ideal - sparse_rank(_grown_rows(t, kernels), dim_ideal)
             if count:
                 found[t] = count
     return found
+
+
+def grown_rows_by_saturation(t, kernels, d):
+    """_grown_rows as it was before it applied the copy rule to every
+    one-node vector: the copy rule (each g and its copy g' at node t_a +
+    1) on every axis saturated one step below (d_a <= t_a), where every
+    kernel vector sits on one node, and both degree-one multiples
+    (_multiplied_rows) of every vector on the other axes."""
+    rows = []
+    for axis in range(len(t)):
+        if t[axis] == 0:
+            continue
+        below = kernels[t[:axis] + (t[axis] - 1,) + t[axis + 1:]]
+        if d[axis] <= t[axis]:
+            new = t[axis] + 1
+            for g in below:
+                rows.append(g)
+                rows.append(
+                    {c[:axis] + (new,) + c[axis + 1:]: v for c, v in g.items()}
+                )
+        else:
+            coeffs = extension_coeffs(t[axis])
+            for g in below:
+                rows.extend(_multiplied_rows(g, axis, coeffs))
+    return rows
+
+
+def echelon_by_elimination(rows, limit=None) -> dict:
+    """linalg._echelon as it was before its unit-row path: every row is
+    reduced against the stored pivot rows until its leading column is
+    new, then stored with its content divided out."""
+    pivots = {}
+    for raw in rows:
+        row = {c: v for c, v in raw.items() if v}
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                g = math.gcd(*row.values())
+                pivots[c] = {k: v // g for k, v in row.items()}
+                if len(pivots) == limit:
+                    return pivots
+                break
+            g = math.gcd(row[c], pivot[c])
+            a, b = pivot[c] // g, row[c] // g
+            if a != 1:
+                row = {k: a * v for k, v in row.items()}
+            for k, v in pivot.items():
+                nv = row.get(k, 0) - b * v
+                if nv:
+                    row[k] = nv
+                else:
+                    del row[k]
+    return pivots
 
 
 def line_sample_points(X, deg):

@@ -5,9 +5,10 @@ elimination runs."""
 import copy
 from math import gcd
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from acmlines.linalg import bareiss_rank, nullspace, sparse_rank
+from acmlines.linalg import _echelon, bareiss_rank, nullspace, sparse_rank
+from conftest import echelon_by_elimination
 
 entries = st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30))
 
@@ -97,3 +98,44 @@ def test_back_substitution_through_non_unit_pivots():
     # pivots 2 and 3: the free column must be scaled by 6
     assert nullspace([[2, 0, 1], [0, 3, 1]], 3) == [[-3, -2, 6]]
     assert nullspace([[4, 6]], 2) == [[-3, 2]]
+
+
+@st.composite
+def sparse_rows(draw):
+    """Sparse rows over up to 6 columns: unit rows, rows with zero
+    entries (a one-entry row may hold a zero), empty rows, and repeats
+    of earlier rows, both as equal copies and as the same dict object."""
+    column = st.integers(0, 5)
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(("unit", "unit", "sparse", "repeat", "shared")))
+        if kind in ("repeat", "shared") and rows:
+            row = draw(st.sampled_from(rows))
+            rows.append(row if kind == "shared" else dict(row))
+        elif kind == "unit":
+            rows.append({draw(column): draw(entries)})
+        else:
+            rows.append(draw(st.dictionaries(column, entries, max_size=6)))
+    return rows
+
+
+@given(sparse_rows(), st.integers(0, 8))
+@example([{0: 0}, {0: 2}, {0: -3}, {1: -4, 0: 0}], 0)
+@example([{2: 5}, {1: 3, 2: 1}, {2: -7}, {1: 1}], 3)
+@settings(max_examples=300, deadline=None)
+def test_echelon_equals_the_elimination_reference(rows, limit):
+    # the unit-row path stores the very row the elimination stores
+    limit = limit or None
+    assert _echelon(rows) == echelon_by_elimination(rows)
+    assert _echelon(rows, limit) == echelon_by_elimination(rows, limit)
+
+
+@given(sparse_rows(), st.integers(0, 8))
+@settings(max_examples=200, deadline=None)
+def test_echelon_leaves_its_input_rows_unmodified(rows, limit):
+    # rows may share dict objects (the generator scan passes memoised
+    # kernel vectors on as rows); none is written to
+    before = copy.deepcopy(rows)
+    pivots = _echelon(rows, limit or None)
+    assert rows == before
+    assert all(p is not row for p in pivots.values() for row in rows)

@@ -53,6 +53,7 @@ from conftest import (
     conditions2,
     dense_kernel_by_rows,
     evaluation_matrix,
+    grown_rows_by_saturation,
     hilbert_oracle_naive,
     line_sample_points,
     reisner_cm_by_links,
@@ -185,7 +186,7 @@ def test_grown_span_lies_in_the_ideal_and_matches_the_multiples():
             dim_ideal = len(kernels[t])
             if not dim_ideal:
                 continue
-            copied = _grown_rows(t, kernels, X.d)
+            copied = _grown_rows(t, kernels)
             multiplied = _multiplied_reference(t, kernels)
             grown = sparse_rank(copied)
             assert grown <= dim_ideal, (X, t)
@@ -378,6 +379,65 @@ def test_scan_equals_the_unclipped_loop_on_draws(oracle_population):
                 warnings.simplefilter("ignore", BoxTooSmallWarning)
                 scan = generator_degree_scan(X, box)
             assert list(scan.items()) == list(scan_unclipped(X, box).items()), (X, box)
+
+
+def test_grown_rows_span_the_saturation_rule_rows_at_every_scanned_degree(
+    oracle_population, small_population, monkeypatch
+):
+    # The copy rule now applies to every one-node kernel vector, on any
+    # axis; before, only to every vector on a saturated axis. At every
+    # degree the scan grows rows (the interior and the face problems),
+    # the new rows and the old ones have the same rank, and so does
+    # their union.
+    grown_rows, face_rows = oracles._grown_rows, oracles._face_rows
+    d_of = {}  # the d the scan's old rule read: X.d, or the face pair's
+    fewer_nonzeros = 0
+
+    def checked_face_rows(a, t, X, memo, faces):
+        pick = oracles._face_view(a, t, X, memo)[1]
+        d_of[2] = pick(X.d)[1:]
+        return face_rows(a, t, X, memo, faces)
+
+    def checked_grown_rows(t, kernels):
+        nonlocal fewer_nonzeros
+        rows = grown_rows(t, kernels)
+        reference = grown_rows_by_saturation(t, kernels, d_of[len(t)])
+        rank = sparse_rank(rows)
+        assert len(rows) == len(reference), t
+        assert sparse_rank(reference) == rank, t
+        assert sparse_rank(rows + reference) == rank, t
+        fewer_nonzeros += sum(map(len, rows)) < sum(map(len, reference))
+        return rows
+
+    monkeypatch.setattr(oracles, "_face_rows", checked_face_rows)
+    monkeypatch.setattr(oracles, "_grown_rows", checked_grown_rows)
+    population = [X for X, _, _ in oracle_population] + small_population
+    assert len(population) == 100 + 4095
+    for X in population:
+        d_of[3] = compact(X).d
+        generator_degree_scan(X, X.d)
+    # the copy rule fired on axes the old rule multiplied along
+    assert fewer_nonzeros
+
+
+def test_elimination_leaves_the_scans_rows_unmodified(oracle_population, monkeypatch):
+    # Node problems that share a fibre share its kernel dicts, and the
+    # copy rule passes kernel vectors on as rows; the elimination must
+    # not write to them.
+    rank = oracles.sparse_rank
+
+    def checked_rank(rows, limit=None):
+        before = [dict(row) for row in rows]
+        out = rank(rows, limit)
+        assert rows == before
+        return out
+
+    monkeypatch.setattr(oracles, "sparse_rank", checked_rank)
+    expected = []
+    for X, _, _ in oracle_population:
+        expected.append(generator_degree_scan(X, X.d))
+    monkeypatch.undo()
+    assert [generator_degree_scan(X, X.d) for X, _, _ in oracle_population] == expected
 
 
 def test_face_complex_shape():

@@ -39,12 +39,16 @@ from acmlines import (
     variety_from_json,
     variety_to_json,
 )
+from acmlines.linalg import extension_coeffs, sparse_rank
 from acmlines.oracles import (
     _boxrange,
+    _dense_dim,
     _dense_kernel,
     _dim3,
+    _grown_rows,
     _kernel2,
     _kernel3,
+    _multiplied_rows,
     _node_dim,
 )
 from acmlines.variety import line_masks, permute_masks
@@ -65,6 +69,7 @@ from conftest import (
     delta_hilbert_by_leq,
     dense_kernel_by_rows,
     first_pattern_by_backtracking,
+    grown_rows_by_saturation,
     first_pattern_by_product,
     graph_by_edge_sets,
     hilbert_oracle_by_nodes,
@@ -518,6 +523,65 @@ def test_dense_kernel_equals_the_row_reference(problem):
     # the whole-grid elimination: same dicts, same order
     sizes, conditions = problem
     assert _dense_kernel(sizes, conditions) == dense_kernel_by_rows(sizes, conditions)
+
+
+@given(kernel_problems())
+@example(((2, 3), [(None, None)]))
+@example(((3,), [(1,), (3,), (5,)]))
+@example(((2, 2, 2), [(4, None, 1), (1, 2, None), (None, 5, 6)]))
+@example(((1, 3), [(1, 2), (2, 4), (None, 1), (3, None)]))
+@settings(max_examples=150, deadline=None)
+def test_dense_dim_counts_the_basis_of_dense_kernel(problem):
+    # hilbert_oracle counts an unsaturated degree by a rank, with no
+    # kernel vector built
+    sizes, conditions = problem
+    assert _dense_dim(sizes, conditions) == len(_dense_kernel(sizes, conditions))
+
+
+@st.composite
+def grown_problems(draw):
+    """A degree t in two or three factors and kernel vectors one step
+    below it along each axis a with t_a > 0 (value nodes 1..t_a on a),
+    each on one node of a or spread over the grid."""
+    t = tuple(draw(st.lists(st.integers(0, 3), min_size=2, max_size=3)))
+    kernels = {}
+    for axis, n in enumerate(t):
+        if not n:
+            continue
+        below = t[:axis] + (n - 1,) + t[axis + 1:]
+        cell = st.tuples(*(st.integers(1, m + 1) for m in below))
+        value = st.integers(1, 9) | st.integers(-9, -1)
+        vectors = []
+        for _ in range(draw(st.integers(0, 3))):
+            g = draw(st.dictionaries(cell, value, min_size=1, max_size=5))
+            if draw(st.integers(0, 3)):  # mostly on one node
+                x = draw(st.integers(1, n))
+                g = {c[:axis] + (x,) + c[axis + 1:]: v for c, v in g.items()}
+            vectors.append(g)
+        kernels[below] = vectors
+    return t, kernels
+
+
+@given(grown_problems())
+@example(((2, 1), {
+    (1, 1): [{(2, 1): 3, (2, 2): -1}],  # on node 2 of axis 1
+    (2, 0): [{(1, 1): 1}, {(3, 1): 2}],
+}))
+@settings(max_examples=200, deadline=None)
+def test_copy_rule_on_one_node_vectors_of_an_unsaturated_axis(problem):
+    # With d past t on every axis the old rule multiplied every vector;
+    # the rows of the copy rule span the same space, vector by vector.
+    t, kernels = problem
+    rows = _grown_rows(t, kernels)
+    reference = grown_rows_by_saturation(t, kernels, tuple(n + 2 for n in t))
+    rank = sparse_rank(reference)
+    assert sparse_rank(rows) == rank == sparse_rank(rows + reference)
+    for axis, n in enumerate(t):
+        for g in kernels.get(t[:axis] + (n - 1,) + t[axis + 1:], []) if n else []:
+            if len({c[axis] for c in g}) == 1:
+                copy = {c[:axis] + (n + 1,) + c[axis + 1:]: v for c, v in g.items()}
+                multiples = list(_multiplied_rows(g, axis, extension_coeffs(n)))
+                assert sparse_rank([g, copy]) == sparse_rank([g, copy] + multiples) == 2
 
 
 @st.composite
