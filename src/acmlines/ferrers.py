@@ -191,7 +191,9 @@ def points_generator_degrees(partition) -> set[tuple[int, int]]:
     degree (0, 0).
     """
     p = tuple(partition)
-    if any(a < b for a, b in zip(p, p[1:])) or any(a <= 0 for a in p):
+    if not all(_is_int(a) and a > 0 for a in p) or any(
+        a < b for a, b in zip(p, p[1:])
+    ):
         raise ValueError(f"not a partition: {partition!r}")
     return {(a, b) for a, b, _ in _minimal_degrees(p, (), ())}
 

@@ -6,21 +6,26 @@ piece I_t: the polynomials that vanish at sample points on the lines
 per line; hyperplane parameters are the integers 1, 2, 3, ...), in
 interpolation (value) coordinates and integer arithmetic. The tests keep
 the literal evaluation matrix as the reference. Both read the slice bit
-rows (variety.line_masks) permuted by permute_masks (_view) to put a
-saturated factor first (f is saturated at deg when d_f <= deg_f + 1, so
-the value nodes include every hyperplane of f), and split I_t along it
-into node slices, one two-factor problem per node. A line or point whose
-fixed nodes are all value nodes only zeroes grid values (the evaluation
-at a value node is a multiple of its unit vector), so those cells are
-dropped before any elimination and only the conditions past the value
-nodes are eliminated, on the cells left (_dense_kernel, _kernel2).
+rows (variety.line_masks) permuted by permute_masks (_split_view) to
+put a saturated factor first (f is saturated at deg when d_f <= deg_f +
+1, so the value nodes include every hyperplane of f), and split I_t
+along it into node slices, one two-factor problem per node. A line or
+point whose fixed nodes are all value nodes only zeroes grid values
+(the evaluation at a value node is a multiple of its unit vector), so
+those cells are dropped before any elimination and only the conditions
+past the value nodes are eliminated, on the cells left (_dense_kernel,
+_kernel2).
 
 Each oracle takes only the slice data it needs. The Hilbert oracle is
 dim R_t - dim I_t on the core box min(box, max(d, 1)), continued
 affinely past it (see hilbert_oracle); it counts dim I_t slice by slice
-(_dim3). On a saturated fibre the count is a formula, and with no
-saturated factor it is the cells kept minus the rank of the conditions
-left (_dense_dim), so it builds a kernel vector only for a dense block.
+(_dim3), and on a saturated fibre the count is a formula (_node_dim).
+Four forks exist for speed alone, each measured against the general
+path it shortcuts: _kernel2's fibre branch (a dense block for every
+node problem makes the scan 13% slower, 45% on the 2x2x2 box), the
+counts _node_dim and _dim3 (summing len(_kernel2) or len(_kernel3)
+makes hilbert_oracle 8-37% or 43-87% slower), and the scan's face
+problems (_face_rows; the interior path everywhere costs it 17%).
 
 The generator scan counts minimal ideal generators per multidegree as
 dim I_t minus the dimension spanned by degree-one multiples of lower
@@ -100,11 +105,11 @@ def _eval_row(node_count: int, node: int) -> tuple[int, ...]:
     )
 
 
-def _cell_rows(sizes, cells, conditions) -> list[list[int]]:
-    """The rows of vanishing conditions on some cells of a tensor product
-    of value spaces (factor n has sizes[n] coordinates), every other cell
-    held at zero, as dense integer rows over the cells. cells are 1-based
-    and in row-major order.
+def _cell_kernel(sizes, cells, conditions) -> list[dict]:
+    """Kernel basis of vanishing conditions on some cells of a tensor
+    product of value spaces (factor n has sizes[n] coordinates), every
+    other cell held at zero, as sparse {cell: value} dicts. cells are
+    1-based and in row-major order.
 
     A condition gives one integer node per factor, or None for a factor
     it leaves free: it asks a polynomial to vanish on the coordinate
@@ -112,6 +117,8 @@ def _cell_rows(sizes, cells, conditions) -> list[list[int]]:
     products of the nodes' evaluation functionals with each unit vector
     of the free factors in turn, built here on the given cells only.
     """
+    if not cells:
+        return []
     rows = []
     for nodes in conditions:
         evals = [
@@ -125,15 +132,6 @@ def _cell_rows(sizes, cells, conditions) -> list[list[int]]:
                 free = tuple(x for e, x in zip(evals, cell) if e is None)
                 by_free.setdefault(free, [0] * len(cells))[n] = v
         rows.extend(by_free.values())
-    return rows
-
-
-def _cell_kernel(sizes, cells, conditions) -> list[dict]:
-    """Kernel basis of the conditions of _cell_rows on the given cells,
-    as sparse {cell: value} dicts."""
-    if not cells:
-        return []
-    rows = _cell_rows(sizes, cells, conditions)
     if not rows:
         return [{cell: 1} for cell in cells]
     return [
@@ -142,13 +140,22 @@ def _cell_kernel(sizes, cells, conditions) -> list[dict]:
     ]
 
 
-def _value_split(sizes, conditions):
-    """The cells of the value grid that the value-node conditions leave,
-    and the other conditions.
+def _dense_kernel(sizes, conditions) -> list[dict]:
+    """Kernel basis of vanishing conditions (see _cell_kernel) on the
+    whole value grid, as sparse {cell: value} dicts over its 1-based
+    cells.
 
     A value-node condition, one whose every fixed node n has n <= size,
     only zeroes cells: its rows are multiples of the unit vectors of the
-    cells it cuts out (see _eval_row)."""
+    cells it cuts out (see _eval_row). So those cells are dropped before
+    any elimination, and the other conditions are eliminated on the
+    cells left. The basis is still the one nullspace gives on the whole
+    grid. The dropped cells' unit vectors lie in the row space, so its
+    pivot columns are the dropped cells plus the pivots of the reduced
+    rows, which leaves the same free columns, and the kernel vector of a
+    free column (primitive, positive there and zero at the other free
+    columns) is unique.
+    """
     killed = set()
     rest = []
     for nodes in conditions:
@@ -160,36 +167,7 @@ def _value_split(sizes, conditions):
         else:
             rest.append(nodes)
     grid = product(*(range(1, size + 1) for size in sizes))
-    return [c for c in grid if c not in killed], rest
-
-
-def _dense_kernel(sizes, conditions) -> list[dict]:
-    """Kernel basis of vanishing conditions (see _cell_rows) on the whole
-    value grid, as sparse {cell: value} dicts over its 1-based cells.
-
-    The cells that the value-node conditions zero are dropped before any
-    elimination (_value_split), and the other conditions are eliminated
-    on the cells left. The basis is still the one nullspace gives on the
-    whole grid. The dropped cells' unit vectors lie in the row space, so
-    its pivot columns are the dropped cells plus the pivots of the
-    reduced rows, which leaves the same free columns, and the kernel
-    vector of a free column (primitive, positive there and zero at the
-    other free columns) is unique.
-    """
-    return _cell_kernel(sizes, *_value_split(sizes, conditions))
-
-
-def _dense_dim(sizes, conditions) -> int:
-    """len(_dense_kernel(sizes, conditions)), counted with no kernel
-    vector built: the cells kept minus the rank of the conditions left on
-    them."""
-    cells, rest = _value_split(sizes, conditions)
-    rows = _cell_rows(sizes, cells, rest)
-    if not rows:
-        return len(cells)
-    return len(cells) - sparse_rank(
-        [{n: v for n, v in enumerate(row) if v} for row in rows]
-    )
+    return _cell_kernel(sizes, [c for c in grid if c not in killed], rest)
 
 
 def _line_conditions(X: VarietyOfLines):
@@ -232,8 +210,8 @@ def _kernel2(deg_pair, row, col, points, memo) -> list[dict]:
     P has deg_pair[0]+1 value coordinates and indices up to
     len(points); Q has deg_pair[1]+1. row has bit r - 1 set for each
     row r and col bit c - 1 for each column c; points[b - 1] has bit
-    c - 1 set for each point (b, c). The front view puts the saturated
-    factors first, so when P is not saturated neither is Q.
+    c - 1 set for each point (b, c). _split_view puts the saturated
+    factors of the pair first, so when P is not saturated neither is Q.
 
     The value-node conditions (the low j+1 bits of row, the low k+1
     bits of col and the points inside both) only zero cells, as in
@@ -245,9 +223,8 @@ def _kernel2(deg_pair, row, col, points, memo) -> list[dict]:
     value nodes are eliminated on the cells kept, as one dense block.
 
     Kept in the call's memo under (deg_pair, row, col, points), and so
-    is each fibre kernel under ("fibre", k, s) and its vectors tagged
-    with y under (y, k, s): node problems that share a fibre share its
-    dicts, which no caller modifies.
+    is each fibre's basis under (y, k, s): node problems that share a
+    fibre share its dicts, which no caller modifies.
     """
     key = (deg_pair, row, col, points)
     if key in memo:
@@ -257,19 +234,14 @@ def _kernel2(deg_pair, row, col, points, memo) -> list[dict]:
     if len(points) <= j + 1:
         out = []
         for y, s in fibres.items():
-            tagged = memo.get((y, k, s))
-            if tagged is None:
-                fibre = memo.get(("fibre", k, s))
-                if fibre is None:
-                    fibre = memo[("fibre", k, s)] = _cell_kernel(
-                        (k + 1,),
-                        [(z,) for z in _kept(s, k + 1)],
-                        [(c,) for c in _past(s, k + 1)],
-                    )
-                tagged = memo[(y, k, s)] = [
-                    {(y, z): v for (z,), v in g.items()} for g in fibre
-                ]
-            out += tagged
+            fibre = memo.get((y, k, s))
+            if fibre is None:
+                fibre = memo[(y, k, s)] = _cell_kernel(
+                    (j + 1, k + 1),
+                    [(y, z) for z in _kept(s, k + 1)],
+                    [(None, c) for c in _past(s, k + 1)],
+                )
+            out += fibre
     else:
         # most blocks have no cell left, and then no condition is built
         cells = [(y, z) for y, s in fibres.items() for z in _kept(s, k + 1)]
@@ -288,78 +260,48 @@ def _kernel2(deg_pair, row, col, points, memo) -> list[dict]:
     return out
 
 
-def _view(order, X: VarietyOfLines, memo):
-    """X's slice bit rows with the families in the given order, built
-    once, in memo under the order (a memo serves one variety): its pick
-    (family_permutation), and the direction-3, direction-2 and
-    direction-1 bit rows of permute_masks(line_masks(X), order). The
-    first two give the rows and the columns of each node of the front
-    factor (d_f of them; the nodes past d_f have none), the third the
-    points, one bit row per second-family index."""
-    key = ("view", order)
-    view = memo.get(key)
-    if view is None:
-        masks = permute_masks(line_masks(X), order)
-        pick = family_permutation(order)[0]
-        view = memo[key] = pick, masks[3][0], masks[2][0], masks[1][0]
-    return view
-
-
 def _saturation(deg, d) -> tuple:
     """Which factors are saturated at deg (d_f <= deg_f + 1), in order."""
     return d[0] <= deg[0] + 1, d[1] <= deg[1] + 1, d[2] <= deg[2] + 1
 
 
-def _saturated_first(families, saturated) -> tuple:
-    """The families (1-based) with the saturated ones first, each group
-    in the given order."""
-    return tuple(f for f in families if saturated[f - 1]) + tuple(
-        f for f in families if not saturated[f - 1]
-    )
+def _split_view(a, saturated, X: VarietyOfLines, memo):
+    """X's problem at a degree with the saturation pattern saturated,
+    split along the saturated axis a (d_a <= deg_a + 1: the deg_a + 1
+    value nodes include every hyperplane of family a + 1), as one
+    two-factor problem per node x of a.
 
-
-def _front_view(deg, X: VarietyOfLines, memo):
-    """The problem at deg split along a saturated factor f (d_f <=
-    deg_f + 1: the deg_f + 1 value nodes include every hyperplane of f),
-    as one two-factor problem per node x of f.
-
-    Returns None when no factor is saturated, else the order with the
-    saturated factors first (each group in ascending order) and _view of
-    that order. Kept in memo under the saturation pattern."""
-    key = ("front", _saturation(deg, X.d))
-    if key in memo:
-        return memo[key]
-    saturated = key[1]
-    if not any(saturated):
-        view = None
-    else:
-        order = _saturated_first((1, 2, 3), saturated)
-        view = (order, *_view(order, X, memo))
-    memo[key] = view
-    return view
-
-
-def _face_view(a, t, X: VarietyOfLines, memo):
-    """The order of a face degree t (1 <= d_a = t_a, see _face_rows),
-    family a + 1 first and then the other two, saturated first, and _view
-    of that order. Kept in memo under a and the saturation pattern."""
-    key = ("face", a, _saturation(t, X.d))
+    Returns the family order (a + 1 first, then the other two with the
+    saturated ones first, each group in ascending order), its pick
+    (family_permutation), and the direction-3, direction-2 and
+    direction-1 bit rows of permute_masks(line_masks(X), order). The
+    first two give the rows and the columns of each node of a (d_a of
+    them; the nodes past d_a have none), the third the points, one bit
+    row per second-family index. Kept in memo (a memo serves one
+    variety) under a and saturated.
+    """
+    key = ("view", a, saturated)
     view = memo.get(key)
     if view is None:
-        others = tuple(f for f in (1, 2, 3) if f != a + 1)
-        order = (a + 1,) + _saturated_first(others, key[2])
-        view = memo[key] = (order, *_view(order, X, memo))
+        others = sorted({1, 2, 3} - {a + 1}, key=lambda f: (not saturated[f - 1], f))
+        order = (a + 1, *others)
+        masks = permute_masks(line_masks(X), order)
+        pick = family_permutation(order)[0]
+        view = memo[key] = order, pick, masks[3][0], masks[2][0], masks[1][0]
     return view
 
 
 def _kernel3(deg, X: VarietyOfLines, memo):
-    """Basis of I_deg in value coordinates, sparse {(x,y,z): value}."""
-    view = _front_view(deg, X, memo)
-    if view is None:
+    """Basis of I_deg in value coordinates, sparse {(x,y,z): value}:
+    _dense_kernel when no factor is saturated, else the node slices of
+    the split along the first saturated axis."""
+    saturated = _saturation(deg, X.d)
+    if not any(saturated):
         return _dense_kernel(tuple(t + 1 for t in deg), _line_conditions(X))
-    order, pick, rows, cols, points = view
+    a = saturated.index(True)
+    order, pick, rows, cols, points = _split_view(a, saturated, X, memo)
     i, j, k = pick(deg)
-    # front-view cell -> cell in X's axis order
+    # split-view cell -> cell in X's axis order
     unpermute = itemgetter(*(order.index(g) for g in (1, 2, 3)))
     return [
         {unpermute((x, y, z)): v for (y, z), v in g.items()}
@@ -392,12 +334,15 @@ def _node_dim(deg_pair, row, col, points, memo) -> int:
 
 def _dim3(deg, X: VarietyOfLines, memo) -> int:
     """dim I_deg, len(_kernel3(deg, X, memo)), as a sum of _node_dim over
-    the front view's nodes. The nodes past d_f all pose one problem (the
-    points alone), counted once."""
-    view = _front_view(deg, X, memo)
-    if view is None:
-        return _dense_dim(tuple(t + 1 for t in deg), _line_conditions(X))
-    _, pick, rows, cols, points = view
+    the nodes of _kernel3's split. The nodes past d_a all pose one
+    problem (the points alone), counted once. With no saturated factor it
+    is the length of the dense kernel, which builds no condition row
+    when no cell is left: a rank count was slower there."""
+    saturated = _saturation(deg, X.d)
+    if not any(saturated):
+        return len(_dense_kernel(tuple(t + 1 for t in deg), _line_conditions(X)))
+    a = saturated.index(True)
+    _, pick, rows, cols, points = _split_view(a, saturated, X, memo)
     i, j, k = pick(deg)
     dim = sum(_node_dim((j, k), r, c, points, memo) for r, c in zip(rows, cols))
     if i + 1 > len(rows):
@@ -412,12 +357,14 @@ def hilbert_oracle(X: VarietyOfLines, box) -> list:
     unused hyperplanes cost nothing past that one pass. H(t) = dim R_t -
     dim I_t is solved on the core box min(box_a, max(d_a, 1)) only.
     dim I_t is counted, not built: _dim3 sums one count per node slice
-    of the front view, and a slice whose first factor is saturated is
-    counted fibre by fibre (_node_dim), with no kernel vector built.
+    of the split along the first saturated axis (_split_view), and a
+    slice whose first factor is saturated is counted fibre by fibre
+    (_node_dim), with no kernel vector built. A degree with no
+    saturated factor is counted as the length of its dense kernel.
 
     Along any axis a, H is affine in t_a once t_a >= d_a - 1. Then
     factor a is saturated, and I_t is the direct sum of node slices
-    along a, one per value node x (the split of _front_view, which
+    along a, one per value node x (the split of _split_view, which
     generator_degree_scan's proof also uses), each in the other two
     degrees alone. A node x <= d_a carries the lines on hyperplane x of
     family a and the points of the other lines; each node past d_a
@@ -519,12 +466,13 @@ def _face_rows(a, t, X: VarietyOfLines, memo, faces):
     a degree t with 1 <= d_a = t_a (see generator_degree_scan).
 
     K_inf(t') is the points-only problem of the nodes past d_a, in the
-    other two degrees t', with the pair ordered saturated first
-    (_face_view) so that _kernel2 takes its fibre branch. Its basis is
-    kept in faces[t], with the pair order, for the degrees t + e_b; a
-    basis solved in the other order is transposed, not solved again.
+    other two degrees t': the split along a (_split_view), which need
+    not be the first saturated axis, orders the pair saturated first so
+    that _kernel2 takes its fibre branch. Its basis is kept in faces[t],
+    with the pair order, for the degrees t + e_b; a basis solved in the
+    other order is transposed, not solved again.
     """
-    order, pick, rows, cols, points = _face_view(a, t, X, memo)
+    order, pick, rows, cols, points = _split_view(a, _saturation(t, X.d), X, memo)
     _, j, k = pick(t)
     pair = order[1:]
     inf = _kernel2((j, k), 0, 0, points, memo)

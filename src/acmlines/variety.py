@@ -392,7 +392,9 @@ def relabel(X: VarietyOfLines, perm_a, perm_b, perm_c) -> VarietyOfLines:
     perms = {}
     for f, perm in ((1, perm_a), (2, perm_b), (3, perm_c)):
         perm = tuple(perm)
-        if sorted(perm) != list(range(1, X.d[f - 1] + 1)):
+        if not all(map(_is_int, perm)) or sorted(perm) != list(
+            range(1, X.d[f - 1] + 1)
+        ):
             raise BadPermutation(
                 f"family {FAMILY_NAMES[f - 1]}: {perm!r} is not a "
                 f"permutation of 1..{X.d[f - 1]}"

@@ -51,11 +51,12 @@ from acmlines.oracles import (
     _boxrange,
     _eval_row,
     _fibres,
-    _front_view,
     _grown_rows,
     _kernel3,
     _line_conditions,
     _multiplied_rows,
+    _saturation,
+    _split_view,
 )
 from acmlines.sampling import random_variety
 from acmlines.variety import (
@@ -677,8 +678,8 @@ def _rank2(deg_pair, row, col, points, memo) -> int:
     P has deg_pair[0]+1 value coordinates and indices up to
     len(points); Q has deg_pair[1]+1. row has bit r - 1 set for each
     row r and col bit c - 1 for each column c; points[b - 1] has bit
-    c - 1 set for each point (b, c). The front view puts the saturated
-    factors first, so when P is not saturated neither is Q.
+    c - 1 set for each point (b, c). _split_view puts the saturated
+    factors of the pair first, so when P is not saturated neither is Q.
     """
     key = (deg_pair, row, col, points)
     if key in memo:
@@ -699,14 +700,17 @@ def _rank2(deg_pair, row, col, points, memo) -> int:
 
 
 def _rank3_by_nodes(deg, X, memo):
-    """The evaluation rank at deg as one _rank2 sum over the front nodes,
-    at every degree of the box: the Hilbert oracle before it took dim
-    I_t from the kernels and continued the table affinely past d."""
-    view = _front_view(deg, X, memo)
-    if view is None:
+    """The evaluation rank at deg as one _rank2 sum over the nodes of
+    the first saturated axis, at every degree of the box: the Hilbert
+    oracle before it took dim I_t from the kernels and continued the
+    table affinely past d."""
+    saturated = _saturation(deg, X.d)
+    if not any(saturated):
         sizes = tuple(t + 1 for t in deg)
         return bareiss_rank(condition_rows(sizes, _line_conditions(X)))
-    _, pick, rows, cols, points = view
+    _, pick, rows, cols, points = _split_view(
+        saturated.index(True), saturated, X, memo
+    )
     i, j, k = pick(deg)
     total = sum(_rank2((j, k), r, c, points, memo) for r, c in zip(rows, cols))
     free = i + 1 - len(rows)

@@ -110,8 +110,9 @@ def test_corner_degrees_frozen_values():
     assert points_generator_degrees((2, 1)) == {(0, 2), (1, 1), (2, 0)}
     assert points_generator_degrees((1,)) == {(0, 1), (1, 0)}
     assert points_generator_degrees(()) == {(0, 0)}
-    with pytest.raises(ValueError):
-        points_generator_degrees((1, 2))
+    for parts in ((1, 2), (True,), (2, True), (1.5,), ("a",), (0,), (2, -1)):
+        with pytest.raises(ValueError):
+            points_generator_degrees(parts)
 
 
 def test_degree_sets_full_box():

@@ -7,6 +7,7 @@ import random
 import re
 import time
 import warnings
+from itertools import zip_longest
 from operator import gt, le
 
 import pytest
@@ -40,6 +41,9 @@ from acmlines.oracles import (
     _grown_rows,
     _kernel3,
     _multiplied_rows,
+    _node_dim,
+    _saturation,
+    _split_view,
 )
 from acmlines.sampling import random_ferrers_variety, random_variety
 from acmlines.variety import MAX_BOX_CELLS, check_table_box
@@ -334,11 +338,21 @@ def test_every_kernel_equals_the_row_reference(oracle_population, monkeypatch):
 def test_dim3_counts_the_basis_of_kernel3_on_the_population(oracle_population):
     # hilbert_oracle counts dim I_t node by node with no kernel vector
     # built; each count is the length of the basis _kernel3 builds, on
-    # the box one past d, where every saturation pattern occurs
+    # the box one past d, where every saturation pattern occurs. The
+    # split along any saturated axis, not only the first (a face of the
+    # scan splits along its own axis), gives node counts with that sum.
     for X, _, _ in oracle_population:
         memo = {}
         for t in _boxrange(tuple(n + 1 for n in X.d)):
-            assert _dim3(t, X, memo) == len(_kernel3(t, X, {})), (X, t)
+            dim = len(_kernel3(t, X, {}))
+            assert _dim3(t, X, memo) == dim, (X, t)
+            saturated = _saturation(t, X.d)
+            for a in (n for n, s in enumerate(saturated) if s):
+                _, pick, rows, cols, points = _split_view(a, saturated, X, memo)
+                i, j, k = pick(t)
+                nodes = zip_longest(rows, cols, range(i + 1), fillvalue=0)
+                counts = [_node_dim((j, k), r, c, points, memo) for r, c, _ in nodes]
+                assert sum(counts) == dim, (X, t, a)
 
 
 def test_scan_equals_the_unclipped_loop_on_every_small_variety(small_population):
@@ -394,7 +408,7 @@ def test_grown_rows_span_the_saturation_rule_rows_at_every_scanned_degree(
     fewer_nonzeros = 0
 
     def checked_face_rows(a, t, X, memo, faces):
-        pick = oracles._face_view(a, t, X, memo)[1]
+        pick = oracles._split_view(a, oracles._saturation(t, X.d), X, memo)[1]
         d_of[2] = pick(X.d)[1:]
         return face_rows(a, t, X, memo, faces)
 

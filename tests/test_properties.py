@@ -42,7 +42,6 @@ from acmlines import (
 from acmlines.linalg import extension_coeffs, sparse_rank
 from acmlines.oracles import (
     _boxrange,
-    _dense_dim,
     _dense_kernel,
     _dim3,
     _grown_rows,
@@ -525,19 +524,6 @@ def test_dense_kernel_equals_the_row_reference(problem):
     assert _dense_kernel(sizes, conditions) == dense_kernel_by_rows(sizes, conditions)
 
 
-@given(kernel_problems())
-@example(((2, 3), [(None, None)]))
-@example(((3,), [(1,), (3,), (5,)]))
-@example(((2, 2, 2), [(4, None, 1), (1, 2, None), (None, 5, 6)]))
-@example(((1, 3), [(1, 2), (2, 4), (None, 1), (3, None)]))
-@settings(max_examples=150, deadline=None)
-def test_dense_dim_counts_the_basis_of_dense_kernel(problem):
-    # hilbert_oracle counts an unsaturated degree by a rank, with no
-    # kernel vector built
-    sizes, conditions = problem
-    assert _dense_dim(sizes, conditions) == len(_dense_kernel(sizes, conditions))
-
-
 @st.composite
 def grown_problems(draw):
     """A degree t in two or three factors and kernel vectors one step
@@ -586,7 +572,7 @@ def test_copy_rule_on_one_node_vectors_of_an_unsaturated_axis(problem):
 
 @st.composite
 def kernel2_problems(draw):
-    """_kernel2 arguments as _front_view makes them: the first side
+    """_kernel2 arguments as _split_view makes them: the first side
     has d_p indices (its rows and points), the second d_q."""
     j, k = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     d_p, d_q = draw(st.integers(1, 5)), draw(st.integers(1, 6))

@@ -184,6 +184,11 @@ def test_relabel_permutes_indices():
     assert Y.U3 == frozenset({(2, 1)})
     with pytest.raises(BadPermutation):
         relabel(X, (1, 1), (1,), (1,))
+    # bool and float entries compare equal to 1 but are not indices
+    Z = make_variety((1, 2, 1), u3={(1, 1), (1, 2)})
+    for perm in ((True,), (1.0,)):
+        with pytest.raises(BadPermutation):
+            relabel(Z, perm, (2, 1), (1,))
 
 
 def test_render_shape():
