@@ -50,13 +50,19 @@ from .variety import (
 )
 
 
-def _load_variety(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return variety_from_json(fh.read())
+def _load(path: str, parse=variety_from_json):
+    """parse (variety_from_json or points_from_json) of the text of the
+    file at path. Bytes that are not UTF-8 and JSON nested past the
+    parser's recursion limit are input errors, as malformed JSON is."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise AcmLinesError(f"{path}: {exc}") from None
 
 
 def cmd_check(args) -> int:
-    X = _load_variety(args.variety)
+    X = _load(args.variety)
     verdict = is_acm(X)
     payload = verdict.to_dict()
     if not args.witness:
@@ -85,7 +91,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_ferrers(args) -> int:
-    X = _load_variety(args.variety)
+    X = _load(args.variety)
     out = {"directions": {}}
     for h in (3, 2, 1):
         ok, partition = resembles_ferrers(X, h)
@@ -104,7 +110,7 @@ def cmd_ferrers(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    X = _load_variety(args.variety)
+    X = _load(args.variety)
     box = tuple(args.box)
     H = (hilbert_function if args.method == "corollary" else hilbert_oracle)(X, box)
     delta = hilbert_difference(H)
@@ -118,7 +124,7 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_gens(args) -> int:
-    X = _load_variety(args.variety)
+    X = _load(args.variety)
     gens = minimal_generators(X)
     out = {
         "degrees": [list(d) for d in gens.degrees],
@@ -132,15 +138,13 @@ def cmd_gens(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    with open(args.points, "r", encoding="utf-8") as fh:
-        points = points_from_json(fh.read())
-    X = grid_from_points(points)
+    X = grid_from_points(_load(args.points, points_from_json))
     print(json.dumps(variety_to_dict(X), sort_keys=True))
     return 0
 
 
 def cmd_ci(args) -> int:
-    X = _load_variety(args.variety)
+    X = _load(args.variety)
     ci = detect_complete_intersection(X)
     payload = {"complete_intersection": ci is not None}
     if ci is not None:
@@ -151,7 +155,7 @@ def cmd_ci(args) -> int:
 
 
 def cmd_render(args) -> int:
-    X = _load_variety(args.variety)
+    X = _load(args.variety)
     directions = (3, 2, 1) if args.direction == "all" else (int(args.direction),)
     for h in directions:
         print(f"direction {h}:")

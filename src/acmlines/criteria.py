@@ -58,7 +58,7 @@ class MultiplicityTensor:
     slices: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
 
     def mu(self, i: int, j: int, k: int) -> int:
-        if not all(1 <= n <= m for n, m in zip((i, j, k), self.d)):
+        if not all(_is_int(n) and 1 <= n <= m for n, m in zip((i, j, k), self.d)):
             raise OutOfBounds(f"point {(i, j, k)} outside d={self.d}")
         r3, r2, r1 = _rows(self)
         i, j, k = i - 1, j - 1, k - 1

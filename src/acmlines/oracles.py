@@ -5,16 +5,16 @@ piece I_t: the polynomials that vanish at sample points on the lines
 (one factor's coordinate swept through deg+1 integer parameter values
 per line; hyperplane parameters are the integers 1, 2, 3, ...), in
 interpolation (value) coordinates and integer arithmetic. The tests keep
-the literal evaluation matrix as the reference. Both read the slice bit
-rows (variety.line_masks) permuted by permute_masks (_split_view) to
-put a saturated factor first (f is saturated at deg when d_f <= deg_f +
-1, so the value nodes include every hyperplane of f), and split I_t
-along it into node slices, one two-factor problem per node. A line or
-point whose fixed nodes are all value nodes only zeroes grid values
-(the evaluation at a value node is a multiple of its unit vector), so
-those cells are dropped before any elimination and only the conditions
-past the value nodes are eliminated, on the cells left (_dense_kernel,
-_kernel2).
+the literal evaluation matrix as the reference. Both read X only
+through its slice bit rows (variety.line_masks). When a factor f is
+saturated at deg (d_f <= deg_f + 1, so the value nodes include every
+hyperplane of f), permute_masks (_split_view) puts it first and I_t
+splits along it into node slices, one two-factor problem per node;
+else the whole grid is one problem (_dense_kernel). A line or point
+whose fixed nodes are all value nodes only zeroes grid values (the
+evaluation at a value node is a multiple of its unit vector), so its
+cells are dropped before any elimination (_fibres, _kept) and only the
+conditions past the value nodes (_past) are eliminated, on the rest.
 
 Each oracle takes only the slice data it needs. The Hilbert oracle is
 dim R_t - dim I_t on the core box min(box, max(d, 1)), continued
@@ -140,45 +140,6 @@ def _cell_kernel(sizes, cells, conditions) -> list[dict]:
     ]
 
 
-def _dense_kernel(sizes, conditions) -> list[dict]:
-    """Kernel basis of vanishing conditions (see _cell_kernel) on the
-    whole value grid, as sparse {cell: value} dicts over its 1-based
-    cells.
-
-    A value-node condition, one whose every fixed node n has n <= size,
-    only zeroes cells: its rows are multiples of the unit vectors of the
-    cells it cuts out (see _eval_row). So those cells are dropped before
-    any elimination, and the other conditions are eliminated on the
-    cells left. The basis is still the one nullspace gives on the whole
-    grid. The dropped cells' unit vectors lie in the row space, so its
-    pivot columns are the dropped cells plus the pivots of the reduced
-    rows, which leaves the same free columns, and the kernel vector of a
-    free column (primitive, positive there and zero at the other free
-    columns) is unique.
-    """
-    killed = set()
-    rest = []
-    for nodes in conditions:
-        if all(node is None or node <= size for size, node in zip(sizes, nodes)):
-            killed.update(product(*(
-                range(1, size + 1) if node is None else (node,)
-                for size, node in zip(sizes, nodes)
-            )))
-        else:
-            rest.append(nodes)
-    grid = product(*(range(1, size + 1) for size in sizes))
-    return _cell_kernel(sizes, [c for c in grid if c not in killed], rest)
-
-
-def _line_conditions(X: VarietyOfLines):
-    """One condition per line of X, for _dense_kernel."""
-    return (
-        [(a, b, None) for a, b in sorted(X.U3)]
-        + [(a, None, c) for a, c in sorted(X.U2)]
-        + [(None, b, c) for b, c in sorted(X.U1)]
-    )
-
-
 def _kept(mask: int, size: int) -> list[int]:
     """The value nodes 1..size whose bit (node - 1) is clear in mask."""
     return [n for n in range(1, size + 1) if not mask >> (n - 1) & 1]
@@ -205,7 +166,7 @@ def _kernel2(deg_pair, row, col, points, memo) -> list[dict]:
     """Basis of the joint kernel, inside P (x) Q, of the row conditions
     v_r (x) Q, the column conditions P (x) w_c and the single tensors
     v_b (x) w_c, as sparse {(y, z): value} dicts over value-grid cells
-    (1-based): _dense_kernel's basis of those conditions.
+    (1-based): the basis nullspace gives on the whole grid.
 
     P has deg_pair[0]+1 value coordinates and indices up to
     len(points); Q has deg_pair[1]+1. row has bit r - 1 set for each
@@ -214,13 +175,14 @@ def _kernel2(deg_pair, row, col, points, memo) -> list[dict]:
     factors of the pair first, so when P is not saturated neither is Q.
 
     The value-node conditions (the low j+1 bits of row, the low k+1
-    bits of col and the points inside both) only zero cells, as in
-    _dense_kernel, so each fibre y of _fibres keeps the nodes z that its
-    mask s leaves (_kept). When P is saturated every row and point sits
-    at a value node of P, so the problem is one fibre problem per y, the
-    nodes of s past k+1 on the nodes kept; their direct sum gives the
-    same basis, in the same order. Otherwise the conditions past the
-    value nodes are eliminated on the cells kept, as one dense block.
+    bits of col and the points inside both) only zero cells, so each
+    fibre y of _fibres keeps the nodes z that its mask s leaves (_kept),
+    as each A-node does in _dense_kernel. When P is saturated every row
+    and point sits at a value node of P, so the problem is one fibre
+    problem per y, the nodes of s past k+1 on the nodes kept; their
+    direct sum gives the same basis, in the same order. Otherwise the
+    conditions past the value nodes (_past) are eliminated on the cells
+    kept, as one dense block.
 
     Kept in the call's memo under (deg_pair, row, col, points), and so
     is each fibre's basis under (y, k, s): node problems that share a
@@ -260,6 +222,43 @@ def _kernel2(deg_pair, row, col, points, memo) -> list[dict]:
     return out
 
 
+def _dense_kernel(deg, X: VarietyOfLines) -> list[dict]:
+    """Basis of I_deg in value coordinates, sparse {(x,y,z): value}, at a
+    degree with no saturated factor: the kernel basis of one condition
+    per line of X (see _cell_kernel) on the whole value grid.
+
+    A line whose fixed nodes are both value nodes only zeroes cells (see
+    _eval_row). So each A-node x <= i+1 keeps the cells of its fibres
+    (_fibres of its AB and AC bit rows and the BC points) on their _kept
+    C-nodes, and only the lines past the value nodes (_past) are
+    eliminated on them, in sorted line order. The basis is still the one
+    nullspace gives on the whole grid. The dropped cells' unit vectors
+    lie in the row space, so its pivot columns are the dropped cells
+    plus the pivots of the reduced rows, which leaves the same free
+    columns, and the kernel vector of a free column (primitive, positive
+    there and zero at the other free columns) is unique.
+    """
+    i, j, k = deg
+    masks = line_masks(X)
+    ab, ac, bc = masks[3][0], masks[2][0], masks[1][0]
+    cells = [  # d_A > i + 1, so ab and ac reach every A-node
+        (x, y, z)
+        for x, row, col in zip(range(1, i + 2), ab, ac)
+        for y, s in _fibres(j, row, col, bc).items()
+        for z in _kept(s, k + 1)
+    ]
+    return [] if not cells else _cell_kernel(
+        (i + 1, j + 1, k + 1),
+        cells,
+        [(a, b, None) for a, r in enumerate(ab, 1)
+         for b in _past(r, j + 1 if a <= i + 1 else 0)]
+        + [(a, None, c) for a, r in enumerate(ac, 1)
+           for c in _past(r, k + 1 if a <= i + 1 else 0)]
+        + [(None, b, c) for b, r in enumerate(bc, 1)
+           for c in _past(r, k + 1 if b <= j + 1 else 0)],
+    )
+
+
 def _saturation(deg, d) -> tuple:
     """Which factors are saturated at deg (d_f <= deg_f + 1), in order."""
     return d[0] <= deg[0] + 1, d[1] <= deg[1] + 1, d[2] <= deg[2] + 1
@@ -297,7 +296,7 @@ def _kernel3(deg, X: VarietyOfLines, memo):
     the split along the first saturated axis."""
     saturated = _saturation(deg, X.d)
     if not any(saturated):
-        return _dense_kernel(tuple(t + 1 for t in deg), _line_conditions(X))
+        return _dense_kernel(deg, X)
     a = saturated.index(True)
     order, pick, rows, cols, points = _split_view(a, saturated, X, memo)
     i, j, k = pick(deg)
@@ -340,7 +339,7 @@ def _dim3(deg, X: VarietyOfLines, memo) -> int:
     when no cell is left: a rank count was slower there."""
     saturated = _saturation(deg, X.d)
     if not any(saturated):
-        return len(_dense_kernel(tuple(t + 1 for t in deg), _line_conditions(X)))
+        return len(_dense_kernel(deg, X))
     a = saturated.index(True)
     _, pick, rows, cols, points = _split_view(a, saturated, X, memo)
     i, j, k = pick(deg)
@@ -360,7 +359,7 @@ def hilbert_oracle(X: VarietyOfLines, box) -> list:
     of the split along the first saturated axis (_split_view), and a
     slice whose first factor is saturated is counted fibre by fibre
     (_node_dim), with no kernel vector built. A degree with no
-    saturated factor is counted as the length of its dense kernel.
+    saturated factor is counted as the length of _dense_kernel.
 
     Along any axis a, H is affine in t_a once t_a >= d_a - 1. Then
     factor a is saturated, and I_t is the direct sum of node slices

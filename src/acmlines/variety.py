@@ -403,7 +403,6 @@ def relabel(X: VarietyOfLines, perm_a, perm_b, perm_c) -> VarietyOfLines:
     return _renumber(X, X.d, perms)
 
 
-@lru_cache(maxsize=None)
 def family_permutation(order: tuple[int, int, int]) -> tuple:
     """The map behind permute_families(X, order), as (pick, moves).
 
@@ -411,7 +410,14 @@ def family_permutation(order: tuple[int, int, int]) -> tuple:
     family order; moves gives, for each new direction 3, 2, 1, the old
     direction its lines come from and whether their pairs flip.
     """
-    if sorted(order) != [1, 2, 3]:
+    return _family_permutation(*order)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _family_permutation(*order) -> tuple:
+    """family_permutation(order), once per order. typed, so that True
+    and 1.0, which equal 1, miss 1's entry and reach the check."""
+    if not all(map(_is_int, order)) or sorted(order) != [1, 2, 3]:
         raise BadPermutation(f"{order!r} is not an order of the families 1, 2, 3")
     new_family = {old: new for new, old in enumerate(order, start=1)}
     moves = {}

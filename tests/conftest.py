@@ -53,7 +53,6 @@ from acmlines.oracles import (
     _fibres,
     _grown_rows,
     _kernel3,
-    _line_conditions,
     _multiplied_rows,
     _saturation,
     _split_view,
@@ -662,6 +661,16 @@ def dense_kernel_by_rows(sizes, conditions) -> list[dict]:
     ]
 
 
+def line_conditions(X):
+    """One vanishing condition per line of X, in sorted line order, on
+    the three-factor value grid (see condition_rows)."""
+    return (
+        [(a, b, None) for a, b in sorted(X.U3)]
+        + [(a, None, c) for a, c in sorted(X.U2)]
+        + [(None, b, c) for b, c in sorted(X.U1)]
+    )
+
+
 def conditions2(row, col, points):
     """_kernel2's row, column and points masks as conditions."""
     return (
@@ -707,7 +716,7 @@ def _rank3_by_nodes(deg, X, memo):
     saturated = _saturation(deg, X.d)
     if not any(saturated):
         sizes = tuple(t + 1 for t in deg)
-        return bareiss_rank(condition_rows(sizes, _line_conditions(X)))
+        return bareiss_rank(condition_rows(sizes, line_conditions(X)))
     _, pick, rows, cols, points = _split_view(
         saturated.index(True), saturated, X, memo
     )

@@ -85,6 +85,17 @@ def test_check_dot_stdout(variety_file, capsys):
     assert "graph complement {" in out
 
 
+def test_check_dot_file(variety_file, tmp_path, capsys):
+    path = tmp_path / "complement.dot"
+    rc = main(["check", variety_file(DIAGONAL_PAIR_PLUS_ONE), "--dot", str(path)])
+    assert rc == 1
+    assert "graph complement {" not in capsys.readouterr().out
+    main(["check", variety_file(DIAGONAL_PAIR_PLUS_ONE), "--dot", "-"])
+    printed = capsys.readouterr().out
+    dot = printed[printed.index("graph complement {"):]
+    assert path.read_text(encoding="utf-8") == dot
+
+
 def test_check_malformed_json_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -148,6 +159,29 @@ def test_check_malformed_variety_exit_two(tmp_path, capsys, payload):
     bad.write_text(json.dumps(payload), encoding="utf-8")
     assert main(["check", str(bad)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# Bytes that are not UTF-8, and JSON nested past the parser's recursion
+# limit: both once escaped as a traceback and exit 1, which for check
+# means "not ACM".
+UNREADABLE_INPUTS = {
+    "not-utf8": b"\xff\xfe\x00bad",
+    "too-deep": b"[" * 200000 + b"]" * 200000,
+}
+
+
+@pytest.mark.parametrize("content", UNREADABLE_INPUTS.values(), ids=UNREADABLE_INPUTS)
+@pytest.mark.parametrize(
+    "command", ["check", "ferrers", "hilbert", "gens", "ci", "render", "grid"]
+)
+def test_unreadable_input_exit_two(tmp_path, capsys, command, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main([command, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {bad}: ")
 
 
 def test_hilbert_negative_box_exit_two(variety_file, capsys):

@@ -1,6 +1,8 @@
 """The CLI's exit-code contract on small arbitrary and near-valid input:
 every subcommand exits 0, 1 or 2 (argparse's own exit included), prints
-no traceback, and gives one stderr line per problem."""
+no traceback, and gives one stderr line per problem. The inputs are
+shallow UTF-8 text; test_cli covers bytes that are not UTF-8 and JSON
+nested past the parser's recursion limit."""
 
 import contextlib
 import io

@@ -74,7 +74,9 @@ def test_tensor_refuses_points_outside_d():
         make_variety((2, 2, 2), u3={(2, 2)}, u2={(2, 1)}, u1={(2, 1)})
     )
     assert M.mu(2, 2, 1) == 3
-    for point in ((0, 2, 1), (2, 2, 5), (2, 2, 0), (3, 1, 1)):
+    # and True or 2.0 compare equal to an index but are not indices
+    for point in ((0, 2, 1), (2, 2, 5), (2, 2, 0), (3, 1, 1),
+                  (True, 2, 1), (2, True, 1), (2.0, 2, 1), (2, 2, 1.0)):
         with pytest.raises(OutOfBounds):
             M.mu(*point)
 

@@ -32,8 +32,11 @@ from acmlines import (
     reisner_cm,
     run_hf_experiment,
     stanley_reisner_complex,
+    validate,
+    variety_to_dict,
 )
 from acmlines import experiment, oracles
+from acmlines.cli import main
 from acmlines.linalg import bareiss_rank, extension_coeffs, sparse_rank
 from acmlines.oracles import (
     _boxrange,
@@ -59,6 +62,7 @@ from conftest import (
     evaluation_matrix,
     grown_rows_by_saturation,
     hilbert_oracle_naive,
+    line_conditions,
     line_sample_points,
     reisner_cm_by_links,
     scan_unclipped,
@@ -309,9 +313,10 @@ def test_every_kernel_equals_the_row_reference(oracle_population, monkeypatch):
     dense_kernel, kernel2 = oracles._dense_kernel, oracles._kernel2
     calls = {"dense": 0, "fibres": 0, "block": 0, "eliminated": 0}
 
-    def checked_dense_kernel(sizes, conditions):
-        out = dense_kernel(sizes, conditions)
-        assert out == dense_kernel_by_rows(sizes, conditions), (sizes, conditions)
+    def checked_dense_kernel(deg, X):
+        out = dense_kernel(deg, X)
+        sizes = tuple(n + 1 for n in deg)
+        assert out == dense_kernel_by_rows(sizes, line_conditions(X)), (deg, X)
         calls["dense"] += 1
         calls["eliminated"] += any(len(g) > 1 for g in out)
         return out
@@ -571,6 +576,45 @@ def test_hf_experiment_raises_when_the_screen_accepts_a_non_acm_variety(monkeypa
     assert not is_acm(first).acm
     with pytest.raises(CriteriaDisagreement, match="is_acm rejects"):
         run_hf_experiment(trials=1, dmax=6, seed=5)
+
+
+def test_hf_experiment_records_a_counterexample(monkeypatch, tmp_path, capsys):
+    # no companion is known to change the table, so one cell of the
+    # companion's table is shifted to reach the counterexample branch
+    def shifted(C, box):
+        table = hilbert_function(C, box)
+        table[1][0][2] += 1
+        return table
+
+    monkeypatch.setattr(experiment, "hilbert_function", shifted)
+    out_dir = tmp_path / "api"
+    report = run_hf_experiment(trials=3, dmax=2, box=(2, 2, 2), seed=4, out_dir=out_dir)
+    assert report.acm_found == report.companions_built == report.failures == 3
+    assert report.successes == 0
+    for ce, path in zip(report.counterexamples, report.artifact_paths, strict=True):
+        X = validate(ce.variety)
+        assert ce.companion == variety_to_dict(ferrers_companion(X))
+        assert ce.degree == (1, 0, 2)
+        assert ce.variety_value == hilbert_oracle(X, (2, 2, 2))[1][0][2]
+        assert ce.companion_value == ce.variety_value + 1
+        assert path.parent == out_dir and path.name.startswith("hf_counterexample_")
+        assert json.loads(path.read_text()) == ce.to_dict()
+    assert sorted(out_dir.iterdir()) == sorted(report.artifact_paths)
+    # the same run through the CLI, its artifacts in another directory
+    cli_dir = tmp_path / "cli"
+    assert main([
+        "hf-experiment", "--trials", "3", "--dmax", "2", "--box", "2", "2", "2",
+        "--seed", "4", "--out-dir", str(cli_dir),
+    ]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    expected = report.to_dict()
+    assert printed.pop("artifacts") == [
+        str(cli_dir / p.name) for p in report.artifact_paths
+    ]
+    expected.pop("artifacts")
+    assert printed == expected
+    for p in report.artifact_paths:
+        assert (cli_dir / p.name).read_text() == p.read_text()
 
 
 def test_hilbert_tables_refuse_oversized_boxes_before_any_work():

@@ -73,6 +73,7 @@ from conftest import (
     graph_by_edge_sets,
     hilbert_oracle_by_nodes,
     hilbert_oracle_naive,
+    line_conditions,
     membership_matrices,
     minimal_degrees_by_product,
     mu_by_matrices,
@@ -499,29 +500,22 @@ def test_kernels_sit_on_one_node_of_each_saturated_axis(X, box):
                     assert len({cell[a] for cell in g}) == 1, (Y, s, a)
 
 
-@st.composite
-def kernel_problems(draw):
-    """Value-grid sizes (one to three factors) and vanishing conditions
-    on them: per factor a node, at a value node or up to three past
-    them, or None for a free factor."""
-    sizes = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
-    node = [st.none() | st.integers(1, size + 3) for size in sizes]
-    conditions = draw(st.lists(st.tuples(*node), max_size=6))
-    return sizes, conditions
-
-
-@given(kernel_problems())
-@example(((2, 3), [(None, None)]))  # one condition zeroes the whole grid
-@example(((2, 2), [(1, None), (2, None)]))  # rows at value nodes cover it
-@example(((3,), [(1,), (3,), (5,)]))  # no free factor, one node past
-@example(((2, 2, 2), [(4, None, 1), (1, 2, None), (None, 5, 6)]))
-@example(((1, 3), [(1, 2), (2, 4), (None, 1), (3, None)]))
+@given(varieties(dmax=4))
+@example(make_variety((3, 3, 3), u3={(1, 1)}, u2={(1, 1)}, u1={(1, 1)}))
+@example(make_variety((2, 2, 2), u3={(1, 1), (2, 2)}, u1={(1, 2)}))
+@example(make_variety(
+    (4, 4, 4), u3={(1, 1), (4, 3)}, u2={(2, 4), (3, 1)}, u1={(1, 4), (4, 2)},
+))
 @settings(max_examples=150, deadline=None)
-def test_dense_kernel_equals_the_row_reference(problem):
-    # dropping the value-node conditions first keeps the very basis of
-    # the whole-grid elimination: same dicts, same order
-    sizes, conditions = problem
-    assert _dense_kernel(sizes, conditions) == dense_kernel_by_rows(sizes, conditions)
+def test_dense_kernel_equals_the_row_reference(X):
+    # at every degree with no saturated factor, dropping the cells the
+    # value-node lines zero keeps the very basis of the whole-grid
+    # elimination of every line's condition: same dicts, same order
+    for deg in itertools.product(*(range(n - 1) for n in X.d)):
+        sizes = tuple(t + 1 for t in deg)
+        assert _dense_kernel(deg, X) == dense_kernel_by_rows(
+            sizes, line_conditions(X)
+        ), (X, deg)
 
 
 @st.composite

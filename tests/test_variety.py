@@ -20,6 +20,7 @@ from acmlines import (
     direction_slice,
     grid_from_points,
     make_variety,
+    multiplicity_tensor,
     permute_families,
     points_from_json,
     relabel,
@@ -32,7 +33,7 @@ from acmlines import (
     variety_to_json,
 )
 from acmlines.errors import BadPermutation
-from acmlines.variety import line_masks
+from acmlines.variety import line_masks, permute_masks
 from conftest import DIAGONAL_PAIR_PLUS_ONE, FULL_BOX_432, SINGLE_LINE
 
 
@@ -252,6 +253,18 @@ def test_permute_families_moves_directions():
     assert Y.U1 == {(1, 2)}  # old U3 line (A1, B2)
     with pytest.raises(BadPermutation):
         permute_families(X, (1, 1, 2))
+    # True and 1.0 compare equal to 1 but are not families, also once
+    # the map of the order they equal is cached
+    M = multiplicity_tensor(X)
+    for order in ((3, 2, True), (True, 2, 3), (2, 1, 3.0), (1.0, 2, 3)):
+        M.permuted(tuple(map(int, order)))
+        for permute in (
+            lambda: permute_families(X, order),
+            lambda: permute_masks(line_masks(X), order),
+            lambda: M.permuted(order),
+        ):
+            with pytest.raises(BadPermutation):
+                permute()
 
 
 def test_grid_from_points_golden():
