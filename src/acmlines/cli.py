@@ -64,6 +64,13 @@ def _load(path: str, parse=variety_from_json):
 def cmd_check(args) -> int:
     X = _load(args.variety)
     verdict = is_acm(X)
+    # input errors (exit 2) come before any output
+    cx = stanley_reisner_complex(X) if args.oracle else None
+    if args.dot:
+        dot = graph_to_dot(complement(build_graph(X)), name="complement")
+        if args.dot != "-":
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(dot + "\n")
     payload = verdict.to_dict()
     if not args.witness:
         payload.pop("witness")
@@ -71,8 +78,7 @@ def cmd_check(args) -> int:
     if args.witness and verdict.cycle_witness is not None:
         cycle = " ".join(str(v) for v in verdict.cycle_witness)
         print(f"chordless cycle in complement: {cycle}")
-    if args.oracle:
-        cx = stanley_reisner_complex(X)
+    if cx is not None:
         oracle_verdict = reisner_cm(cx)
         print(f"face-ring oracle: {'CM' if oracle_verdict else 'not CM'}")
         if oracle_verdict != verdict.acm:
@@ -80,13 +86,8 @@ def cmd_check(args) -> int:
                 f"face-ring oracle says {oracle_verdict}, criteria say "
                 f"{verdict.acm}"
             )
-    if args.dot:
-        dot = graph_to_dot(complement(build_graph(X)), name="complement")
-        if args.dot == "-":
-            print(dot)
-        else:
-            with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(dot + "\n")
+    if args.dot == "-":
+        print(dot)
     return 0 if verdict.acm else 1
 
 

@@ -33,6 +33,7 @@ from .variety import (
     HyperplaneId,
     VarietyOfLines,
     _is_int,
+    check_direction,
     family_permutation,
     line_masks,
     permute_masks,
@@ -65,7 +66,7 @@ class MultiplicityTensor:
         return (r3[i] >> j & 1) + (r2[i] >> k & 1) + (r1[j] >> k & 1)
 
     def slice_matrix(self, direction: int) -> tuple[tuple[int, ...], ...]:
-        rows, cols = self.slices[direction]
+        rows, cols = self.slices[check_direction(direction)]
         return tuple(tuple(row >> q & 1 for q in range(len(cols))) for row in rows)
 
     def permuted(self, order) -> MultiplicityTensor:

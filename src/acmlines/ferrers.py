@@ -26,6 +26,7 @@ from .variety import (
     FAMILY_NAMES,
     VarietyOfLines,
     _is_int,
+    check_direction,
     check_table_box,
     line_masks,
     make_variety,
@@ -51,7 +52,7 @@ def _partition(rows) -> tuple[int, ...]:
 
 def row_partition(X: VarietyOfLines, direction: int) -> tuple[int, ...]:
     """Nonzero row sizes of one direction's diagram, sorted decreasing."""
-    return _partition(line_masks(X)[direction][0])
+    return _partition(line_masks(X)[check_direction(direction)][0])
 
 
 def resembles_ferrers(X: VarietyOfLines, direction: int):
@@ -61,14 +62,14 @@ def resembles_ferrers(X: VarietyOfLines, direction: int):
     iff row and column permutations turn the diagram into a staircase.
     The partition of nonzero row sizes is returned either way.
     """
-    rows = line_masks(X)[direction][0]
+    rows = line_masks(X)[check_direction(direction)][0]
     return _is_chain(rows), _partition(rows)
 
 
 def is_literal_ferrers(X: VarietyOfLines, direction: int) -> bool:
     """Is the diagram a left-justified staircase as labeled: each bit row
     a prefix (r & (r + 1) == 0) that lies inside the row above it."""
-    rows = line_masks(X)[direction][0]
+    rows = line_masks(X)[check_direction(direction)][0]
     return all(r & (r + 1) == 0 for r in rows) and all(
         above & r == r for above, r in zip(rows, rows[1:])
     )
@@ -367,24 +368,19 @@ class GridResolution:
         )
 
 
-def _all_family_product(f: int, count: int) -> str:
-    fam = FAMILY_NAMES[f - 1]
-    return "*".join(f"{fam}{i}" for i in range(1, count + 1))
-
-
 def grid_resolution(a: int, b: int, c: int) -> GridResolution:
     """Length-one free resolution of the full a x b x c grid ideal.
 
     The ideal is generated by the three full-family products; one syzygy
     column pairs the A-product against the B-product, the other against
     the C-product. The 2x2 minors of the 3x2 matrix recover the three
-    generators up to sign.
+    generators up to sign. Each entry is the product of its degree, in
+    the grid's labels (_product_string), or "0".
     """
     if not all(_is_int(n) and n >= 1 for n in (a, b, c)):
         raise ValueError("grid sizes must be positive integers")
-    pa = _all_family_product(1, a)
-    pb = _all_family_product(2, b)
-    pc = _all_family_product(3, c)
+    degrees = (((a, 0, 0), (a, 0, 0)), ((0, b, 0), None), (None, (0, 0, c)))
+    labels = {f: range(1, n + 1) for f, n in zip((1, 2, 3), (a, b, c))}
     return GridResolution(
         box=(a, b, c),
         generator_twists=(
@@ -393,15 +389,10 @@ def grid_resolution(a: int, b: int, c: int) -> GridResolution:
             (0, -b, -c),
         ),
         syzygy_twists=((-a, -b, -c), (-a, -b, -c)),
-        matrix_degrees=(
-            ((a, 0, 0), (a, 0, 0)),
-            ((0, b, 0), None),
-            (None, (0, 0, c)),
-        ),
-        matrix_entries=(
-            (pa, pa),
-            (pb, "0"),
-            ("0", pc),
+        matrix_degrees=degrees,
+        matrix_entries=tuple(
+            tuple("0" if deg is None else _product_string(deg, labels) for deg in row)
+            for row in degrees
         ),
     )
 

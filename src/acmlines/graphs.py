@@ -134,29 +134,27 @@ def _mcs_failure(adj):
     neighbours, the lowest index on ties. Each vertex v is checked as it
     is visited: its visited neighbours must all be adjacent to the
     latest of them, u. Returns None when every check passes (the graph
-    is chordal), else (v, u, w, pos) for the first failure, with w the
-    lowest-index visited neighbour of v not adjacent to u, and pos[n]
-    the step at which vertex n was visited (len(adj) if it was not).
+    is chordal), else (v, u, w, visited) for the first failure, with w
+    the lowest-index visited neighbour of v not adjacent to u, and
+    visited the bitmask of the vertices visited before v.
     """
     n = len(adj)
     levels = [(1 << n) - 1]  # levels[k]: unvisited, k visited neighbours
     top = 0
-    pos = [n] * n
     order: list[int] = []
     visited = 0
-    for step in range(n):
+    for _ in range(n):
         while not levels[top]:
             top -= 1
         low = levels[top] & -levels[top]
         levels[top] ^= low
         v = low.bit_length() - 1
-        pos[v] = step
         earlier = adj[v] & visited
         if earlier:
             u = next(x for x in reversed(order) if earlier >> x & 1)
             missing = earlier & ~adj[u] & ~(1 << u)
             if missing:
-                return v, u, (missing & -missing).bit_length() - 1, pos
+                return v, u, (missing & -missing).bit_length() - 1, visited
         order.append(v)
         visited |= low
         rising = adj[v] & ~visited
@@ -181,7 +179,8 @@ def is_chordal(G: Graph):
 
     Returns (True, None) or (False, cycle) where the cycle is a
     chordless cycle of length >= 4, canonicalized. The search itself is
-    _mcs_failure, on G.masks.
+    _mcs_failure, on G.masks; on failure it also gives the mask of the
+    vertices visited before v, in which _extract_cycle looks for a path.
 
     Why the certificate always exists: in a maximum cardinality search
     order, G is chordal iff every vertex's earlier neighbours are all
@@ -198,17 +197,16 @@ def is_chordal(G: Graph):
     return False, _extract_cycle(G, *failure)
 
 
-def _extract_cycle(G, v, u, w, pos):
+def _extract_cycle(G, v, u, w, earlier):
     """Chordless cycle through v from a failed elimination check.
 
     u and w are earlier neighbors of v that are non-adjacent; a shortest
     u-w path avoiding N[v] among earlier vertices closes an induced
     cycle, found breadth-first with neighbours taken in ascending
-    position. v, u, w are positions in G.vertices, and pos[n] is the
-    search step of vertex n.
+    position. v, u, w are positions in G.vertices, and earlier is the
+    bitmask of the vertices the search visited before v.
     """
     masks = G.masks
-    earlier = sum(1 << x for x, step in enumerate(pos) if step < pos[v])
     allowed = earlier & ~masks[v] | 1 << u | 1 << w
     parent = {u: None}
     reached = 1 << u

@@ -13,8 +13,8 @@ splits along it into node slices, one two-factor problem per node;
 else the whole grid is one problem (_dense_kernel). A line or point
 whose fixed nodes are all value nodes only zeroes grid values (the
 evaluation at a value node is a multiple of its unit vector), so its
-cells are dropped before any elimination (_fibres, _kept) and only the
-conditions past the value nodes (_past) are eliminated, on the rest.
+cells are dropped before any elimination (_fibres, _kept); only the
+conditions past the value nodes (_past, _past_lines) are eliminated.
 
 Each oracle takes only the slice data it needs. The Hilbert oracle is
 dim R_t - dim I_t on the core box min(box, max(d, 1)), continued
@@ -150,6 +150,12 @@ def _past(mask: int, size: int) -> list[int]:
     return [c + 1 for c in _bits(mask >> size << size)]
 
 
+def _past_lines(rows, m: int, n: int) -> list[tuple[int, int]]:
+    """The lines (a, b) of a bit-row matrix (rows[a - 1] has bit b - 1
+    set) that the value nodes 1..m x 1..n do not hold, in sorted order."""
+    return [(a, b) for a, r in enumerate(rows, 1) for b in _past(r, n if a <= m else 0)]
+
+
 def _fibres(j, row, col, points) -> dict[int, int]:
     """Each first-side value node y in 1..j+1 outside row, with the bit
     mask of the second-side nodes where its fibre must vanish (col, and
@@ -181,8 +187,8 @@ def _kernel2(deg_pair, row, col, points, memo) -> list[dict]:
     and point sits at a value node of P, so the problem is one fibre
     problem per y, the nodes of s past k+1 on the nodes kept; their
     direct sum gives the same basis, in the same order. Otherwise the
-    conditions past the value nodes (_past) are eliminated on the cells
-    kept, as one dense block.
+    conditions past the value nodes (_past, _past_lines) are eliminated
+    on the cells kept, as one dense block.
 
     Kept in the call's memo under (deg_pair, row, col, points), and so
     is each fibre's basis under (y, k, s): node problems that share a
@@ -212,11 +218,7 @@ def _kernel2(deg_pair, row, col, points, memo) -> list[dict]:
             cells,
             [(r, None) for r in _past(row, j + 1)]
             + [(None, c) for c in _past(col, k + 1)]
-            + [
-                (b, c)
-                for b, mask in enumerate(points, start=1)
-                for c in _past(mask, k + 1 if b <= j + 1 else 0)
-            ],
+            + _past_lines(points, j + 1, k + 1),
         )
     memo[key] = out
     return out
@@ -230,7 +232,7 @@ def _dense_kernel(deg, X: VarietyOfLines) -> list[dict]:
     A line whose fixed nodes are both value nodes only zeroes cells (see
     _eval_row). So each A-node x <= i+1 keeps the cells of its fibres
     (_fibres of its AB and AC bit rows and the BC points) on their _kept
-    C-nodes, and only the lines past the value nodes (_past) are
+    C-nodes, and only the lines past the value nodes (_past_lines) are
     eliminated on them, in sorted line order. The basis is still the one
     nullspace gives on the whole grid. The dropped cells' unit vectors
     lie in the row space, so its pivot columns are the dropped cells
@@ -250,12 +252,9 @@ def _dense_kernel(deg, X: VarietyOfLines) -> list[dict]:
     return [] if not cells else _cell_kernel(
         (i + 1, j + 1, k + 1),
         cells,
-        [(a, b, None) for a, r in enumerate(ab, 1)
-         for b in _past(r, j + 1 if a <= i + 1 else 0)]
-        + [(a, None, c) for a, r in enumerate(ac, 1)
-           for c in _past(r, k + 1 if a <= i + 1 else 0)]
-        + [(None, b, c) for b, r in enumerate(bc, 1)
-           for c in _past(r, k + 1 if b <= j + 1 else 0)],
+        [(a, b, None) for a, b in _past_lines(ab, i + 1, j + 1)]
+        + [(a, None, c) for a, c in _past_lines(ac, i + 1, k + 1)]
+        + [(None, b, c) for b, c in _past_lines(bc, j + 1, k + 1)],
     )
 
 
@@ -333,20 +332,19 @@ def _node_dim(deg_pair, row, col, points, memo) -> int:
 
 def _dim3(deg, X: VarietyOfLines, memo) -> int:
     """dim I_deg, len(_kernel3(deg, X, memo)), as a sum of _node_dim over
-    the nodes of _kernel3's split. The nodes past d_a all pose one
-    problem (the points alone), counted once. With no saturated factor it
-    is the length of the dense kernel, which builds no condition row
-    when no cell is left: a rank count was slower there."""
+    the nodes of _kernel3's split, walked as _kernel3 walks them (the
+    nodes past d_a pose one problem, which the memo answers after the
+    first). With no saturated factor it is the length of the dense
+    kernel, which builds no condition row when no cell is left: a rank
+    count was slower there."""
     saturated = _saturation(deg, X.d)
     if not any(saturated):
         return len(_dense_kernel(deg, X))
     a = saturated.index(True)
     _, pick, rows, cols, points = _split_view(a, saturated, X, memo)
     i, j, k = pick(deg)
-    dim = sum(_node_dim((j, k), r, c, points, memo) for r, c in zip(rows, cols))
-    if i + 1 > len(rows):
-        dim += (i + 1 - len(rows)) * _node_dim((j, k), 0, 0, points, memo)
-    return dim
+    nodes = zip_longest(rows, cols, range(i + 1), fillvalue=0)
+    return sum(_node_dim((j, k), r, c, points, memo) for r, c, _ in nodes)
 
 
 def hilbert_oracle(X: VarietyOfLines, box) -> list:

@@ -72,9 +72,10 @@ def _check_dmax(dmax) -> None:
 
 def check_sampling(dmax, p) -> None:
     """Raise BadParameter unless random_variety(rng, dmax, p) can draw:
-    dmax an integer in 1..MAX_DMAX and p in (0, 1]."""
+    dmax an integer in 1..MAX_DMAX and p an int or float (not a bool)
+    in (0, 1]."""
     _check_dmax(dmax)
-    if not 0 < p <= 1:
+    if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 < p <= 1:
         raise BadParameter(f"line probability must be in (0, 1], got {p!r}")
 
 

@@ -250,6 +250,13 @@ def check_box(box) -> tuple[int, int, int]:
     return box
 
 
+def check_direction(direction) -> int:
+    """A line direction: an int in 1..3 that is not a bool."""
+    if not (_is_int(direction) and 1 <= direction <= 3):
+        raise BadParameter(f"direction must be 1, 2 or 3, got {direction!r}")
+    return direction
+
+
 # Most cells of a Hilbert table (hilbert_oracle, delta_hilbert,
 # hilbert_function): a box of (b1 + 1)(b2 + 1)(b3 + 1) cells, such as
 # (46, 46, 46), is refused before any work. Every box the tests, the
@@ -339,7 +346,7 @@ def direction_slice(X: VarietyOfLines, direction: int) -> VarietyOfLines:
     partition X's line set); it is generally not compact.
     """
     parts = {3: frozenset(), 2: frozenset(), 1: frozenset()}
-    parts[direction] = X.u(direction)
+    parts[direction] = X.u(check_direction(direction))
     return VarietyOfLines(d=X.d, U3=parts[3], U2=parts[2], U1=parts[1])
 
 
@@ -462,7 +469,7 @@ def permute_families(X: VarietyOfLines, order) -> VarietyOfLines:
 
 def render(X: VarietyOfLines, direction: int) -> str:
     """Dot diagram of one direction's index set, first family as rows."""
-    fam_p, fam_q = DIRECTION_FAMILIES[direction]
+    fam_p, fam_q = DIRECTION_FAMILIES[check_direction(direction)]
     rows, cols = X.d[fam_p - 1], X.d[fam_q - 1]
     cells = X.u(direction)
     return "\n".join(

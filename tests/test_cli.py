@@ -96,6 +96,22 @@ def test_check_dot_file(variety_file, tmp_path, capsys):
     assert path.read_text(encoding="utf-8") == dot
 
 
+def test_check_input_errors_exit_two_before_any_output(variety_file, tmp_path, capsys):
+    # 15 used hyperplanes: past the face-ring test's limit
+    pairs = {(i, i) for i in range(1, 6)}
+    rc = main(["check", variety_file(make_variety((5, 5, 5), u3=pairs, u2=pairs)), "--oracle"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: face-ring test limited to 14 vertices, got 15\n"
+    missing = tmp_path / "missing" / "complement.dot"
+    rc = main(["check", variety_file(DIAGONAL_PAIR_PLUS_ONE), "--dot", str(missing)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_check_malformed_json_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

@@ -333,7 +333,13 @@ def test_every_kernel_equals_the_row_reference(oracle_population, monkeypatch):
 
     monkeypatch.setattr(oracles, "_dense_kernel", checked_dense_kernel)
     monkeypatch.setattr(oracles, "_kernel2", checked_kernel2)
-    for X, _, _ in oracle_population:
+    # at degree (1, 2, 0) the AB line (3, 3), whose A-node lies past the
+    # value nodes, changes the basis of a dense elimination; X0 alone
+    # takes every path counted below
+    X0 = make_variety(
+        (4, 4, 2), u3={(1, 1), (2, 2), (3, 3), (4, 2)}, u2={(1, 1)}, u1={(4, 2)}
+    )
+    for X in [X0, *(X for X, _, _ in oracle_population)]:
         generator_degree_scan(X, X.d)
         hilbert_oracle(X, tuple(n + 1 for n in X.d))
     # every path is taken, elimination included
@@ -533,11 +539,14 @@ def test_out_of_range_parameters_raise_bad_parameter():
     with pytest.raises(BadParameter):
         generator_degree_scan(SINGLE_LINE, (1, 1))
     rng = random.Random(0)
-    for dmax, p in ((0, 0.4), (17, 0.4), (2, 0.0), (2, -0.1), (2, 1.5)):
+    for dmax, p in (
+        (0, 0.4), (17, 0.4), (2, 0.0), (2, -0.1), (2, 1.5), (3, "0.5"), (3, None), (3, True),
+    ):
         with pytest.raises(BadParameter):
             random_variety(rng, dmax, p)
-    with pytest.raises(BadParameter):
-        run_hf_experiment(trials=1, seed=1, p=0.0)
+    for p in (0.0, None, "0.5", True):
+        with pytest.raises(BadParameter):
+            run_hf_experiment(trials=1, seed=1, p=p)
     with pytest.raises(BadParameter):
         run_hf_experiment(trials=1, seed=1, box=(1, 1, -1))
     with pytest.raises(BadParameter):

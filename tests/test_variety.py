@@ -19,6 +19,7 @@ from acmlines import (
     compact,
     direction_slice,
     grid_from_points,
+    is_literal_ferrers,
     make_variety,
     multiplicity_tensor,
     permute_families,
@@ -26,6 +27,8 @@ from acmlines import (
     relabel,
     remove_hyperplane,
     render,
+    resembles_ferrers,
+    row_partition,
     validate,
     validation_errors,
     variety_from_json,
@@ -147,6 +150,29 @@ def test_compact_returns_compact_input_as_it_is():
     hyperplanes_only = make_variety((2, 2, 2))
     assert not hyperplanes_only.is_compact()
     assert compact(hyperplanes_only) == EMPTY_VARIETY
+
+
+@pytest.mark.parametrize(
+    "by_direction",
+    [
+        render,
+        row_partition,
+        resembles_ferrers,
+        is_literal_ferrers,
+        direction_slice,
+        lambda X, h: multiplicity_tensor(X).slice_matrix(h),
+    ],
+    ids=[
+        "render", "row_partition", "resembles_ferrers", "is_literal_ferrers",
+        "direction_slice", "slice_matrix",
+    ],
+)
+def test_functions_of_a_direction_refuse_other_values(by_direction):
+    # a bool or float equal to 1..3 is not a direction either
+    for direction in (0, 4, True, 2.0, "3"):
+        with pytest.raises(BadParameter, match="direction must be 1, 2 or 3"):
+            by_direction(DIAGONAL_PAIR_PLUS_ONE, direction)
+    by_direction(DIAGONAL_PAIR_PLUS_ONE, 3)
 
 
 def test_direction_slice_preserves_labels():
